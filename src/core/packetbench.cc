@@ -354,7 +354,6 @@ PacketBench::processPacket(net::Packet &packet)
     auto sim_start = std::chrono::steady_clock::now();
     sim::RunResult result{};
     try {
-        PB_SCOPED_TIMER("sim.interp.run_ns");
         result = cpu.run(entry, cfg.instBudget);
     } catch (const sim::SimError &e) {
         // Leave the engine exactly as a completed packet would:

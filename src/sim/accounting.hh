@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -89,39 +90,36 @@ class PacketRecorder final : public ExecObserver
     /** Finish the current packet and return its statistics. */
     PacketStats endPacket();
 
-    // Defined inline: the CPU's block-stepped loop instantiates a
-    // devirtualized template over the recorder, and these two are its
-    // per-event hot path.
-    void
-    onInst(uint32_t addr, const isa::Inst &inst) override
-    {
-        current.instCount++;
-        totalInsts_++;
-        classCounts_[static_cast<size_t>(isa::opInfo(inst.op).cls)]++;
+    void onInst(uint32_t addr, const isa::Inst &inst) override;
 
-        uint32_t word = (addr - progBase) / 4;
-        if (word < progWords && wordEpoch[word] != epoch) {
-            wordEpoch[word] = epoch;
-            current.uniqueInstCount++;
-            // A word's first-ever execution is always also its first
-            // execution within some packet, so the run-level
-            // instruction footprint only needs checking on the
-            // per-packet-unique path; the per-instruction hot path
-            // pays nothing for it.
-            if (!wordTouched[word]) {
-                wordTouched[word] = true;
-                wordsTouched_++;
-            }
-            if (cfg.blockSets) {
-                uint32_t block = blockMap.blockOf(addr);
-                if (blockEpoch[block] != epoch) {
-                    blockEpoch[block] = epoch;
-                    current.blocks.push_back(block);
-                }
-            }
-        }
-        if (cfg.instTrace)
-            current.instTrace.push_back(addr);
+    /**
+     * The @p n instructions of program slots [slot, slot + n) executed
+     * in order: the straight-line run that starts at @p slot, or a
+     * prefix of it when the run was clipped by the budget or by a
+     * fault.  Equivalent to n onInst() calls, but the instruction and
+     * class counts come from prefix sums, and a complete run that
+     * already executed in this packet costs O(1) — every word of it
+     * was marked then.  Only the CPU's devirtualized block-stepped
+     * loop delivers this event (see asRecorder()).  Defined inline:
+     * it and onMemAccess are that loop's per-event hot path.
+     */
+    void
+    onRun(uint32_t slot, uint32_t n)
+    {
+        current.instCount += n;
+        totalInsts_ += n;
+        const ClassTally &lo = classPrefix[slot];
+        const ClassTally &hi = classPrefix[slot + n];
+        for (size_t c = 0; c < numInstClasses; c++)
+            classCounts_[c] += hi[c] - lo[c];
+
+        const bool full = n == runLen[slot];
+        if (full && runEpoch[slot] == epoch)
+            return;
+        for (uint32_t word = slot; word < slot + n; word++)
+            markWord(word);
+        if (full)
+            runEpoch[slot] = epoch;
     }
 
     void
@@ -163,7 +161,28 @@ class PacketRecorder final : public ExecObserver
             current.memTrace.push_back({current.instCount, event});
     }
 
-    PacketRecorder *asRecorder() override { return this; }
+    /**
+     * The recorder takes per-run events unless it keeps a trace: the
+     * instruction trace needs every address in order, and each traced
+     * memory access carries the ordinal of its instruction, which a
+     * per-run count does not know yet.  Those configurations stay on
+     * the CPU's per-instruction path.
+     */
+    PacketRecorder *
+    asRecorder() override
+    {
+        return cfg.instTrace || cfg.memTrace ? nullptr : this;
+    }
+
+    /**
+     * True when the recorder was built for a program of @p words
+     * words at @p base, so per-run slot numbers line up with it.
+     */
+    bool
+    tracks(uint32_t base, size_t words) const
+    {
+        return base == progBase && words == progWords;
+    }
 
     /**
      * @name Run-level aggregates (across all packets so far).
@@ -188,29 +207,78 @@ class PacketRecorder final : public ExecObserver
     struct TouchMap
     {
         uint32_t base = 0;
-        std::vector<bool> touched;
+        uint32_t size = 0;
+        /** One bit per byte offset. */
+        std::vector<uint64_t> bits;
         uint64_t count = 0;
 
         void
-        init(uint32_t base_addr, uint32_t size)
+        init(uint32_t base_addr, uint32_t size_bytes)
         {
             base = base_addr;
-            touched.assign(size, false);
+            size = size_bytes;
+            bits.assign((size_bytes + 63) / 64, 0);
             count = 0;
         }
 
+        /** Mark [addr, addr + len), clipped to the region. */
         void
         mark(uint32_t addr, uint32_t len)
         {
-            for (uint32_t i = 0; i < len; i++) {
-                uint32_t off = addr + i - base;
-                if (off < touched.size() && !touched[off]) {
-                    touched[off] = true;
-                    count++;
+            uint32_t off = addr - base;
+            if (off >= size)
+                return;
+            len = std::min(len, size - off);
+            // An aligned access never straddles a 64-byte chunk, so
+            // this loop normally runs once.
+            while (len > 0) {
+                const uint32_t bit = off & 63;
+                const uint32_t take = std::min(len, 64 - bit);
+                const uint64_t mask =
+                    (take == 64 ? ~uint64_t{0}
+                                : (uint64_t{1} << take) - 1)
+                    << bit;
+                // Store only on news: most accesses re-touch bytes
+                // marked long ago, and a store per access costs far
+                // more than the load.
+                uint64_t &w = bits[off >> 6];
+                if (const uint64_t fresh = mask & ~w) {
+                    count += static_cast<uint64_t>(std::popcount(fresh));
+                    w |= fresh;
                 }
+                off += take;
+                len -= take;
             }
         }
     };
+
+    /** Executed-instruction counts by class. */
+    using ClassTally = std::array<uint32_t, numInstClasses>;
+
+    /** Count @p word unique in this packet unless already marked. */
+    void
+    markWord(uint32_t word)
+    {
+        if (wordEpoch[word] == epoch)
+            return;
+        wordEpoch[word] = epoch;
+        current.uniqueInstCount++;
+        // A word's first-ever execution is always also its first
+        // execution within some packet, so the run-level instruction
+        // footprint only needs checking on the per-packet-unique
+        // path; the per-instruction hot path pays nothing for it.
+        if (!wordTouched[word]) {
+            wordTouched[word] = true;
+            wordsTouched_++;
+        }
+        if (cfg.blockSets) {
+            uint32_t block = blockMap.blockOf(progBase + word * 4);
+            if (blockEpoch[block] != epoch) {
+                blockEpoch[block] = epoch;
+                current.blocks.push_back(block);
+            }
+        }
+    }
 
     const RecorderConfig cfg;
     const uint32_t progBase;
@@ -222,6 +290,14 @@ class PacketRecorder final : public ExecObserver
     uint32_t epoch = 0;
     std::vector<uint32_t> wordEpoch;
     std::vector<uint32_t> blockEpoch;
+
+    // Per-run accounting (onRun).  runLen is the CPU's straight-line
+    // run length per slot (sim::straightLineRuns); a complete run is
+    // fully marked in the current packet iff its start slot's stamp
+    // equals the epoch.  classPrefix[i] tallies slots [0, i).
+    std::vector<uint32_t> runLen;
+    std::vector<uint32_t> runEpoch;
+    std::vector<ClassTally> classPrefix;
 
     /** Program words executed at least once over the whole run. */
     std::vector<bool> wordTouched;

@@ -4,12 +4,31 @@
  *
  * Two dispatch loops share one set of memory/ALU semantics:
  * runSliceRef() is the per-instruction reference loop (debugger
- * single-step, differential-test oracle); runBlocked<HasObs>() is the
+ * single-step, differential-test oracle); runBlocked<ObsT>() is the
  * production loop, which hoists fetch-bounds, alignment, and budget
  * checks to once per straight-line run and compiles the observer
  * notifications out entirely when no observer is attached.  The two
  * are bit-identical: same RunResult, registers, memory effects,
- * observer event stream, and faults (type, message, and pc).
+ * observer event stream (per-run events aside: the recorder's
+ * statistics match instead), and faults (type, message, and pc).
+ *
+ * Who gets which events in the production loop:
+ *
+ *  - The accounting PacketRecorder alone (the configuration every
+ *    real run uses) gets one onRun(slot, n) per straight-line run and
+ *    every memory access; no per-instruction event and no pc
+ *    bookkeeping.  Its statistics depend only on which slots ran, so
+ *    that charges the same as n onInst calls.
+ *  - A recorder that keeps the instruction trace or the memory trace
+ *    opts out (asRecorder() is null): the instruction trace needs
+ *    every address in order, and each traced access records the
+ *    ordinal of its instruction, which a per-run event delivered at
+ *    the end of the run cannot supply.
+ *  - Every other observer — the hot-spot profiler, the pipeline
+ *    timer, the micro-architecture model, the NPE32 trace sampler,
+ *    and any fan-out over several sinks — gets the generic
+ *    per-instruction stream (onInst, onMemAccess, onBranch), exactly
+ *    as the reference loop delivers it.
  */
 
 #include "cpu.hh"
@@ -79,20 +98,24 @@ Cpu::loadProgram(const isa::Program &program)
         decoded.push_back(isa::decode(word));
     }
 
-    // Straight-line run lengths for the block-stepped loop: distance
-    // (inclusive) from each slot to the next control-flow instruction
-    // or undecodable word, clamped to the program end.  Undecodable
-    // words terminate a run so the instructions before one execute
-    // unchecked and the fault fires exactly where the reference loop
-    // fires it.
-    runLen.assign(decoded.size(), 1);
+    runLen = straightLineRuns(decoded);
+}
+
+std::vector<uint32_t>
+straightLineRuns(const std::vector<Inst> &decoded)
+{
+    // Distance (inclusive) from each slot to the next control-flow
+    // instruction or undecodable word, clamped to the program end.
+    // Undecodable words terminate a run so the instructions before
+    // one execute unchecked and the fault fires exactly where the
+    // reference loop fires it.
+    std::vector<uint32_t> lens(decoded.size(), 1);
     for (size_t i = decoded.size(); i-- > 0;) {
-        if (isa::isControlFlow(decoded[i].op) ||
-            decoded[i].op == Op::INVALID || i + 1 == decoded.size())
-            runLen[i] = 1;
-        else
-            runLen[i] = runLen[i + 1] + 1;
+        if (!isa::isControlFlow(decoded[i].op) &&
+            decoded[i].op != Op::INVALID && i + 1 != decoded.size())
+            lens[i] = lens[i + 1] + 1;
     }
+    return lens;
 }
 
 inline uint32_t
@@ -186,7 +209,7 @@ Cpu::runSlice(uint32_t entry, uint64_t max_insts)
 {
     if (dispatch == DispatchMode::Reference)
         return runSliceRef(entry, max_insts);
-    if (recObs)
+    if (recObs && recObs->tracks(prog.baseAddr, decoded.size()))
         return runBlocked(entry, max_insts, recObs);
     if (obs)
         return runBlocked(entry, max_insts, obs);
@@ -210,18 +233,22 @@ Cpu::runSlice(uint32_t entry, uint64_t max_insts)
  * operand reads index the register file directly (regs[regZero] is
  * invariantly 0 because setReg never writes it).
  *
- * With no observer attached the loop additionally stops maintaining
- * the pc per instruction — only control-flow instructions need it,
- * only a run's last slot can hold one, and its address reconstructs
- * from the instruction pointer.
+ * Only the generic observer needs the pc per instruction (its onInst
+ * events carry it).  The other two stop maintaining it — only
+ * control-flow instructions need it, only a run's last slot can hold
+ * one, and its address reconstructs from the instruction pointer —
+ * and the recorder is charged once per run instead (see the file
+ * comment).
  */
 template <typename ObsT>
 RunResult
 Cpu::runBlocked(uint32_t entry, uint64_t max_insts, ObsT *o)
 {
-    // Tracked mode delivers (pc, inst) events per instruction;
-    // untracked mode (NoObs) elides the pc bookkeeping.
-    constexpr bool kTracked = !std::is_same_v<ObsT, NoObs>;
+    // Per-instruction mode delivers (pc, inst) and branch events,
+    // per-run mode one onRun per executed run prefix; all modes
+    // deliver each memory access (NoObs drops it).
+    constexpr bool kPerInst = std::is_same_v<ObsT, ExecObserver>;
+    constexpr bool kPerRun = std::is_same_v<ObsT, PacketRecorder>;
 
     if (decoded.empty())
         fatal("Cpu::run called with no program loaded");
@@ -266,7 +293,8 @@ Cpu::runBlocked(uint32_t entry, uint64_t max_insts, ObsT *o)
             n = max_insts - count; // budget expires mid-run
         blocks++;
 
-        const Inst *ip = insts + slot;
+        const Inst *const start = insts + slot;
+        const Inst *ip = start;
         const Inst *stop = ip + n;
         // An undecodable word can only occupy a run's last slot (it
         // terminates runLen), so hoist its detection out of the inner
@@ -278,311 +306,261 @@ Cpu::runBlocked(uint32_t entry, uint64_t max_insts, ObsT *o)
         if (ends_invalid)
             stop--;
 
-        // Untracked mode: where a taken control transfer (always the
+        // Pc-elided modes: where a taken control transfer (always the
         // run's last instruction) sent the pc, if anywhere.
         [[maybe_unused]] uint32_t pc_redirect = 0;
         [[maybe_unused]] bool redirected = false;
 
-        for (; ip != stop; ++ip) {
-            const Inst &inst = *ip;
-            uint32_t next_pc = 0;
-            if constexpr (kTracked) {
-                o->onInst(pc, inst);
-                next_pc = pc + 4;
+        try {
+            for (; ip != stop; ++ip) {
+                const Inst &inst = *ip;
+                uint32_t next_pc = 0;
+                if constexpr (kPerInst) {
+                    o->onInst(pc, inst);
+                    next_pc = pc + 4;
+                }
+                // Address of the current instruction, reconstructed
+                // on demand in the pc-elided modes.
+                auto ipc = [&] {
+                    if constexpr (kPerInst)
+                        return pc;
+                    else
+                        return base +
+                               (static_cast<uint32_t>(ip - insts) << 2);
+                };
+                auto jump = [&](uint32_t target) {
+                    if constexpr (kPerInst) {
+                        next_pc = target;
+                    } else {
+                        pc_redirect = target;
+                        redirected = true;
+                    }
+                };
+                auto branch = [&](bool taken) {
+                    const uint32_t at = ipc();
+                    const uint32_t target =
+                        at + 4 + static_cast<uint32_t>(inst.imm) * 4;
+                    o->onBranch(at, taken, target);
+                    if (taken)
+                        jump(target);
+                };
+
+                const uint32_t rs = r[inst.rs];
+                const uint32_t rt = r[inst.rt];
+                const uint32_t uimm = static_cast<uint32_t>(inst.imm);
+
+                switch (inst.op) {
+                  case Op::ADD:
+                    setReg(inst.rd, rs + rt);
+                    break;
+                  case Op::SUB:
+                    setReg(inst.rd, rs - rt);
+                    break;
+                  case Op::AND:
+                    setReg(inst.rd, rs & rt);
+                    break;
+                  case Op::OR:
+                    setReg(inst.rd, rs | rt);
+                    break;
+                  case Op::XOR:
+                    setReg(inst.rd, rs ^ rt);
+                    break;
+                  case Op::SLL:
+                    setReg(inst.rd, rs << (rt & 31));
+                    break;
+                  case Op::SRL:
+                    setReg(inst.rd, rs >> (rt & 31));
+                    break;
+                  case Op::SRA:
+                    setReg(inst.rd,
+                           static_cast<uint32_t>(static_cast<int32_t>(rs) >>
+                                                 (rt & 31)));
+                    break;
+                  case Op::MUL:
+                    setReg(inst.rd, rs * rt);
+                    break;
+                  case Op::SLT:
+                    setReg(inst.rd, static_cast<int32_t>(rs) <
+                                            static_cast<int32_t>(rt)
+                                        ? 1
+                                        : 0);
+                    break;
+                  case Op::SLTU:
+                    setReg(inst.rd, rs < rt ? 1 : 0);
+                    break;
+
+                  case Op::ADDI:
+                    setReg(inst.rd, rs + uimm);
+                    break;
+                  case Op::ANDI:
+                    setReg(inst.rd, rs & uimm);
+                    break;
+                  case Op::ORI:
+                    setReg(inst.rd, rs | uimm);
+                    break;
+                  case Op::XORI:
+                    setReg(inst.rd, rs ^ uimm);
+                    break;
+                  case Op::SLLI:
+                    setReg(inst.rd, rs << (uimm & 31));
+                    break;
+                  case Op::SRLI:
+                    setReg(inst.rd, rs >> (uimm & 31));
+                    break;
+                  case Op::SRAI:
+                    setReg(inst.rd,
+                           static_cast<uint32_t>(static_cast<int32_t>(rs) >>
+                                                 (uimm & 31)));
+                    break;
+                  case Op::SLTI:
+                    setReg(inst.rd,
+                           static_cast<int32_t>(rs) < inst.imm ? 1 : 0);
+                    break;
+                  case Op::SLTIU:
+                    setReg(inst.rd, rs < uimm ? 1 : 0);
+                    break;
+                  case Op::LUI:
+                    setReg(inst.rd, uimm << 16);
+                    break;
+
+                  case Op::LW: {
+                    const uint32_t addr = rs + uimm;
+                    MemRegion region;
+                    const uint32_t value = mem.read32(addr, region);
+                    o->onMemAccess({addr, 4, false, region});
+                    setReg(inst.rd, value);
+                    break;
+                  }
+                  case Op::LH: {
+                    const uint32_t addr = rs + uimm;
+                    MemRegion region;
+                    const uint32_t value = static_cast<uint32_t>(
+                        sext(mem.read16(addr, region), 16));
+                    o->onMemAccess({addr, 2, false, region});
+                    setReg(inst.rd, value);
+                    break;
+                  }
+                  case Op::LHU: {
+                    const uint32_t addr = rs + uimm;
+                    MemRegion region;
+                    const uint32_t value = mem.read16(addr, region);
+                    o->onMemAccess({addr, 2, false, region});
+                    setReg(inst.rd, value);
+                    break;
+                  }
+                  case Op::LB: {
+                    const uint32_t addr = rs + uimm;
+                    MemRegion region;
+                    const uint32_t value = static_cast<uint32_t>(
+                        sext(mem.read8(addr, region), 8));
+                    o->onMemAccess({addr, 1, false, region});
+                    setReg(inst.rd, value);
+                    break;
+                  }
+                  case Op::LBU: {
+                    const uint32_t addr = rs + uimm;
+                    MemRegion region;
+                    const uint32_t value = mem.read8(addr, region);
+                    o->onMemAccess({addr, 1, false, region});
+                    setReg(inst.rd, value);
+                    break;
+                  }
+
+                  case Op::SW: {
+                    const uint32_t addr = rs + uimm;
+                    MemRegion region;
+                    mem.write32(addr, r[inst.rd], region);
+                    o->onMemAccess({addr, 4, true, region});
+                    break;
+                  }
+                  case Op::SH: {
+                    const uint32_t addr = rs + uimm;
+                    MemRegion region;
+                    mem.write16(addr, static_cast<uint16_t>(r[inst.rd]),
+                                region);
+                    o->onMemAccess({addr, 2, true, region});
+                    break;
+                  }
+                  case Op::SB: {
+                    const uint32_t addr = rs + uimm;
+                    MemRegion region;
+                    mem.write8(addr, static_cast<uint8_t>(r[inst.rd]),
+                               region);
+                    o->onMemAccess({addr, 1, true, region});
+                    break;
+                  }
+
+                  case Op::BEQ:
+                    branch(rs == rt);
+                    break;
+                  case Op::BNE:
+                    branch(rs != rt);
+                    break;
+                  case Op::BLT:
+                    branch(static_cast<int32_t>(rs) <
+                           static_cast<int32_t>(rt));
+                    break;
+                  case Op::BGE:
+                    branch(static_cast<int32_t>(rs) >=
+                           static_cast<int32_t>(rt));
+                    break;
+                  case Op::BLTU:
+                    branch(rs < rt);
+                    break;
+                  case Op::BGEU:
+                    branch(rs >= rt);
+                    break;
+
+                  case Op::J:
+                    jump(ipc() + 4 + uimm * 4);
+                    break;
+                  case Op::JAL:
+                    setReg(isa::regLr, ipc() + 4);
+                    jump(ipc() + 4 + uimm * 4);
+                    break;
+                  case Op::JR:
+                    jump(rs);
+                    break;
+                  case Op::JALR:
+                    // rs was read before the link: rd may alias it.
+                    setReg(inst.rd, ipc() + 4);
+                    jump(rs);
+                    break;
+
+                  case Op::SYS: {
+                    const uint64_t in_run =
+                        static_cast<uint64_t>(ip - start) + 1;
+                    if constexpr (kPerRun)
+                        o->onRun(slot, static_cast<uint32_t>(in_run));
+                    lifetimeInsts += count + in_run;
+                    lifetimeBlocks += blocks;
+                    return {static_cast<isa::SysCode>(inst.imm),
+                            reg(isa::regA1), count + in_run};
+                  }
+
+                  case Op::INVALID:
+                    // Hoisted to run setup (ends_invalid);
+                    // unreachable.
+                    throw DecodeError(strprintf(
+                        "undecodable instruction word at pc=0x%x",
+                        ipc()));
+                }
+
+                if constexpr (kPerInst)
+                    pc = next_pc;
             }
-            // Address of the current instruction, reconstructed on
-            // demand in untracked mode.
-            auto ipc = [&] {
-                if constexpr (kTracked)
-                    return pc;
-                else
-                    return base +
-                           (static_cast<uint32_t>(ip - insts) << 2);
-            };
-
-            const uint32_t rs = r[inst.rs];
-            const uint32_t rt = r[inst.rt];
-            const uint32_t uimm = static_cast<uint32_t>(inst.imm);
-
-            switch (inst.op) {
-              case Op::ADD:
-                setReg(inst.rd, rs + rt);
-                break;
-              case Op::SUB:
-                setReg(inst.rd, rs - rt);
-                break;
-              case Op::AND:
-                setReg(inst.rd, rs & rt);
-                break;
-              case Op::OR:
-                setReg(inst.rd, rs | rt);
-                break;
-              case Op::XOR:
-                setReg(inst.rd, rs ^ rt);
-                break;
-              case Op::SLL:
-                setReg(inst.rd, rs << (rt & 31));
-                break;
-              case Op::SRL:
-                setReg(inst.rd, rs >> (rt & 31));
-                break;
-              case Op::SRA:
-                setReg(inst.rd,
-                       static_cast<uint32_t>(static_cast<int32_t>(rs) >>
-                                             (rt & 31)));
-                break;
-              case Op::MUL:
-                setReg(inst.rd, rs * rt);
-                break;
-              case Op::SLT:
-                setReg(inst.rd, static_cast<int32_t>(rs) <
-                                        static_cast<int32_t>(rt)
-                                    ? 1
-                                    : 0);
-                break;
-              case Op::SLTU:
-                setReg(inst.rd, rs < rt ? 1 : 0);
-                break;
-
-              case Op::ADDI:
-                setReg(inst.rd, rs + uimm);
-                break;
-              case Op::ANDI:
-                setReg(inst.rd, rs & uimm);
-                break;
-              case Op::ORI:
-                setReg(inst.rd, rs | uimm);
-                break;
-              case Op::XORI:
-                setReg(inst.rd, rs ^ uimm);
-                break;
-              case Op::SLLI:
-                setReg(inst.rd, rs << (uimm & 31));
-                break;
-              case Op::SRLI:
-                setReg(inst.rd, rs >> (uimm & 31));
-                break;
-              case Op::SRAI:
-                setReg(inst.rd,
-                       static_cast<uint32_t>(static_cast<int32_t>(rs) >>
-                                             (uimm & 31)));
-                break;
-              case Op::SLTI:
-                setReg(inst.rd,
-                       static_cast<int32_t>(rs) < inst.imm ? 1 : 0);
-                break;
-              case Op::SLTIU:
-                setReg(inst.rd, rs < uimm ? 1 : 0);
-                break;
-              case Op::LUI:
-                setReg(inst.rd, uimm << 16);
-                break;
-
-              case Op::LW: {
-                const uint32_t addr = rs + uimm;
-                MemRegion region;
-                const uint32_t value = mem.read32(addr, region);
-                o->onMemAccess({addr, 4, false, region});
-                setReg(inst.rd, value);
-                break;
-              }
-              case Op::LH: {
-                const uint32_t addr = rs + uimm;
-                MemRegion region;
-                const uint32_t value = static_cast<uint32_t>(
-                    sext(mem.read16(addr, region), 16));
-                o->onMemAccess({addr, 2, false, region});
-                setReg(inst.rd, value);
-                break;
-              }
-              case Op::LHU: {
-                const uint32_t addr = rs + uimm;
-                MemRegion region;
-                const uint32_t value = mem.read16(addr, region);
-                o->onMemAccess({addr, 2, false, region});
-                setReg(inst.rd, value);
-                break;
-              }
-              case Op::LB: {
-                const uint32_t addr = rs + uimm;
-                MemRegion region;
-                const uint32_t value = static_cast<uint32_t>(
-                    sext(mem.read8(addr, region), 8));
-                o->onMemAccess({addr, 1, false, region});
-                setReg(inst.rd, value);
-                break;
-              }
-              case Op::LBU: {
-                const uint32_t addr = rs + uimm;
-                MemRegion region;
-                const uint32_t value = mem.read8(addr, region);
-                o->onMemAccess({addr, 1, false, region});
-                setReg(inst.rd, value);
-                break;
-              }
-
-              case Op::SW: {
-                const uint32_t addr = rs + uimm;
-                MemRegion region;
-                mem.write32(addr, r[inst.rd], region);
-                o->onMemAccess({addr, 4, true, region});
-                break;
-              }
-              case Op::SH: {
-                const uint32_t addr = rs + uimm;
-                MemRegion region;
-                mem.write16(addr, static_cast<uint16_t>(r[inst.rd]),
-                            region);
-                o->onMemAccess({addr, 2, true, region});
-                break;
-              }
-              case Op::SB: {
-                const uint32_t addr = rs + uimm;
-                MemRegion region;
-                mem.write8(addr, static_cast<uint8_t>(r[inst.rd]),
-                           region);
-                o->onMemAccess({addr, 1, true, region});
-                break;
-              }
-
-              case Op::BEQ: {
-                const bool taken = rs == rt;
-                if constexpr (kTracked) {
-                    const uint32_t target = pc + 4 + uimm * 4;
-                    o->onBranch(pc, taken, target);
-                    if (taken)
-                        next_pc = target;
-                } else if (taken) {
-                    pc_redirect = ipc() + 4 + uimm * 4;
-                    redirected = true;
-                }
-                break;
-              }
-              case Op::BNE: {
-                const bool taken = rs != rt;
-                if constexpr (kTracked) {
-                    const uint32_t target = pc + 4 + uimm * 4;
-                    o->onBranch(pc, taken, target);
-                    if (taken)
-                        next_pc = target;
-                } else if (taken) {
-                    pc_redirect = ipc() + 4 + uimm * 4;
-                    redirected = true;
-                }
-                break;
-              }
-              case Op::BLT: {
-                const bool taken = static_cast<int32_t>(rs) <
-                                   static_cast<int32_t>(rt);
-                if constexpr (kTracked) {
-                    const uint32_t target = pc + 4 + uimm * 4;
-                    o->onBranch(pc, taken, target);
-                    if (taken)
-                        next_pc = target;
-                } else if (taken) {
-                    pc_redirect = ipc() + 4 + uimm * 4;
-                    redirected = true;
-                }
-                break;
-              }
-              case Op::BGE: {
-                const bool taken = static_cast<int32_t>(rs) >=
-                                   static_cast<int32_t>(rt);
-                if constexpr (kTracked) {
-                    const uint32_t target = pc + 4 + uimm * 4;
-                    o->onBranch(pc, taken, target);
-                    if (taken)
-                        next_pc = target;
-                } else if (taken) {
-                    pc_redirect = ipc() + 4 + uimm * 4;
-                    redirected = true;
-                }
-                break;
-              }
-              case Op::BLTU: {
-                const bool taken = rs < rt;
-                if constexpr (kTracked) {
-                    const uint32_t target = pc + 4 + uimm * 4;
-                    o->onBranch(pc, taken, target);
-                    if (taken)
-                        next_pc = target;
-                } else if (taken) {
-                    pc_redirect = ipc() + 4 + uimm * 4;
-                    redirected = true;
-                }
-                break;
-              }
-              case Op::BGEU: {
-                const bool taken = rs >= rt;
-                if constexpr (kTracked) {
-                    const uint32_t target = pc + 4 + uimm * 4;
-                    o->onBranch(pc, taken, target);
-                    if (taken)
-                        next_pc = target;
-                } else if (taken) {
-                    pc_redirect = ipc() + 4 + uimm * 4;
-                    redirected = true;
-                }
-                break;
-              }
-
-              case Op::J:
-                if constexpr (kTracked) {
-                    next_pc = pc + 4 + uimm * 4;
-                } else {
-                    pc_redirect = ipc() + 4 + uimm * 4;
-                    redirected = true;
-                }
-                break;
-              case Op::JAL:
-                setReg(isa::regLr, ipc() + 4);
-                if constexpr (kTracked) {
-                    next_pc = pc + 4 + uimm * 4;
-                } else {
-                    pc_redirect = ipc() + 4 + uimm * 4;
-                    redirected = true;
-                }
-                break;
-              case Op::JR:
-                if constexpr (kTracked) {
-                    next_pc = rs;
-                } else {
-                    pc_redirect = rs;
-                    redirected = true;
-                }
-                break;
-              case Op::JALR:
-                setReg(inst.rd, ipc() + 4);
-                if constexpr (kTracked) {
-                    next_pc = rs;
-                } else {
-                    pc_redirect = rs;
-                    redirected = true;
-                }
-                break;
-
-              case Op::SYS: {
-                const uint64_t executed =
-                    count +
-                    static_cast<uint64_t>(ip - (insts + slot)) + 1;
-                lifetimeInsts += executed;
-                lifetimeBlocks += blocks;
-                return {static_cast<isa::SysCode>(inst.imm),
-                        reg(isa::regA1), executed};
-              }
-
-              case Op::INVALID:
-                // Hoisted to run setup (ends_invalid); unreachable.
-                throw DecodeError(strprintf(
-                    "undecodable instruction word at pc=0x%x",
-                    ipc()));
-            }
-
-            if constexpr (kTracked)
-                pc = next_pc;
+        } catch (...) {
+            // The reference loop charges an instruction before
+            // executing it, so the faulting one counts too.
+            if constexpr (kPerRun)
+                o->onRun(slot, static_cast<uint32_t>(ip - start) + 1);
+            throw;
         }
-        count += static_cast<uint64_t>(stop - (insts + slot));
-        if constexpr (!kTracked) {
+        const uint64_t executed = static_cast<uint64_t>(stop - start);
+        if constexpr (kPerRun)
+            o->onRun(slot, static_cast<uint32_t>(executed));
+        count += executed;
+        if constexpr (!kPerInst) {
             pc = redirected
                      ? pc_redirect
                      : base + (static_cast<uint32_t>(stop - insts)

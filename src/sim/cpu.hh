@@ -15,9 +15,9 @@
  *    carries, per instruction slot, the straight-line run length to
  *    the next control-flow/SYS instruction.  Fetch-bounds, alignment,
  *    and budget checks hoist to once per run instead of once per
- *    instruction, and the inner loop is specialized on whether an
- *    observer is attached (the no-observer loop contains no virtual
- *    calls at all).
+ *    instruction, and the inner loop is specialized on the attached
+ *    observer (the no-observer loop contains no virtual calls at
+ *    all; the accounting recorder is charged once per run).
  *  - DispatchMode::Reference: the plain one-instruction-at-a-time
  *    loop, kept as the semantic reference for differential tests and
  *    as the debugger's single-step primitive (runSliceRef).
@@ -93,13 +93,24 @@ class ExecObserver
 
     /**
      * Non-null when this observer IS the accounting PacketRecorder
-     * (a final class).  The CPU resolves this at attach time so the
-     * block-stepped loop can instantiate a fully devirtualized —
-     * and therefore inlinable — event path for the common
-     * one-recorder configuration.
+     * (a final class) and accepts per-run events in place of onInst.
+     * The CPU resolves this at attach time so the block-stepped loop
+     * can instantiate a fully devirtualized — and therefore
+     * inlinable — event path for the common one-recorder
+     * configuration.
      */
     virtual PacketRecorder *asRecorder() { return nullptr; }
 };
+
+/**
+ * Straight-line run lengths of a decoded program: entry i is the
+ * number of instructions from slot i up to and including the next
+ * control-flow / SYS / undecodable slot, clamped to the end of the
+ * program, so always >= 1.  The one definition of a run, shared by
+ * the CPU's block-stepped loop and the PacketRecorder's per-run
+ * accounting, which must agree on it.
+ */
+std::vector<uint32_t> straightLineRuns(const std::vector<isa::Inst> &decoded);
 
 /** Why and how a run() ended. */
 struct RunResult
@@ -215,11 +226,7 @@ class Cpu
     Memory &mem;
     isa::Program prog;
     std::vector<isa::Inst> decoded;
-    /**
-     * runLen[i]: number of instructions from slot i up to and
-     * including the next control-flow / SYS / undecodable slot
-     * (clamped to the end of the program).  Always >= 1.
-     */
+    /** straightLineRuns(decoded). */
     std::vector<uint32_t> runLen;
     ExecObserver *obs = nullptr;
     /** obs, when it is exactly the (final) accounting recorder. */
@@ -232,8 +239,9 @@ class Cpu
     /**
      * The block-stepped loop, templated on the concrete observer
      * type: a no-op observer (events compile out), the final
-     * PacketRecorder (events inline), or plain ExecObserver (one
-     * virtual call per event).
+     * PacketRecorder (one inline onRun per straight-line run, memory
+     * events inline), or plain ExecObserver (one virtual call per
+     * event).
      */
     template <typename ObsT>
     RunResult runBlocked(uint32_t entry, uint64_t max_insts,

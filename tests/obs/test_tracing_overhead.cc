@@ -3,19 +3,16 @@
  * Disabled-tracing overhead microbenchmark: instrumentation points
  * cost one relaxed load and a branch when the tracer is off, so a
  * packet loop carrying *extra* disabled macros must run within 2% of
- * the same loop without them.  Min-of-trials on interleaved runs
- * keeps the comparison stable under scheduler noise.
+ * the same loop without them.  overhead_gate.hh describes how the
+ * measurement keeps host noise out of the comparison.
  */
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-
 #include "core/packetbench.hh"
-#include "isa/assembler.hh"
 #include "net/tracegen.hh"
 #include "obs/tracing.hh"
-#include "sim/memmap.hh"
+#include "overhead_gate.hh"
 
 namespace
 {
@@ -23,38 +20,12 @@ namespace
 using namespace pb;
 using namespace pb::obs;
 
-/** Table 2-style header-processing handler: checksum the header. */
-class HeaderApp : public core::Application
-{
-  public:
-    std::string name() const override { return "header-sum"; }
-
-    isa::Program
-    setup(sim::Memory &mem) override
-    {
-        (void)mem;
-        return isa::Assembler(sim::layout::textBase).assemble(R"(
-main:
-    li  t0, 0
-    li  t1, 0
-loop:
-    lw  t2, 0(a0)
-    add t1, t1, t2
-    addi a0, a0, 4
-    addi t0, t0, 4
-    blt t0, a1, loop
-    li  a1, 1
-    sys 1
-)");
-    }
-};
-
+/** One pass over a fresh synthetic trace; returns packets run. */
 uint64_t
-timePacketLoop(core::PacketBench &bench, uint32_t packets,
-               bool extra_macros)
+packetPass(core::PacketBench &bench, uint32_t packets, bool extra_macros)
 {
     net::SyntheticTrace trace(net::Profile::MRA, packets, 11);
-    auto start = std::chrono::steady_clock::now();
+    uint64_t done = 0;
     for (uint32_t i = 0; i < packets; i++) {
         auto packet = trace.next();
         if (!packet)
@@ -69,42 +40,26 @@ timePacketLoop(core::PacketBench &bench, uint32_t packets,
         } else {
             bench.processPacket(*packet);
         }
+        done++;
     }
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
+    return done;
 }
 
 TEST(TracingOverhead, DisabledMacrosStayUnderTwoPercent)
 {
     ASSERT_FALSE(traceEnabled());
-    HeaderApp app;
+    test::HeaderSumApp app;
     core::PacketBench bench(app, {});
 
-    constexpr uint32_t packets = 1'500;
-    constexpr int trials = 6;
-    // Warm-up: fault in code paths, caches, and the first-touch cost
-    // of simulated memory before timing anything.
-    timePacketLoop(bench, packets, false);
-
-    uint64_t base_min = UINT64_MAX, extra_min = UINT64_MAX;
-    for (int t = 0; t < trials; t++) {
-        base_min =
-            std::min(base_min, timePacketLoop(bench, packets, false));
-        extra_min = std::min(extra_min,
-                             timePacketLoop(bench, packets, true));
-    }
-
-    double overhead = static_cast<double>(extra_min) /
-                          static_cast<double>(base_min) -
-                      1.0;
     // <2% is the acceptance bound; the measured cost of three
     // disabled instrumentation points is a handful of nanoseconds
     // against a multi-microsecond simulated packet.
-    EXPECT_LT(overhead, 0.02)
-        << "base " << base_min << " ns vs extra " << extra_min
-        << " ns";
+    constexpr double bound = 0.02;
+    test::Overhead m = test::measureOverhead(
+        [&](bool extra) { return packetPass(bench, 1'500, extra); },
+        bound);
+    RecordProperty("measurement", m.describe());
+    EXPECT_LT(m.overhead, bound) << m.describe();
 }
 
 } // namespace

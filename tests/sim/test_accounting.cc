@@ -197,6 +197,52 @@ TEST_F(AccountingTest, TracesEmptyWhenDisabled)
     EXPECT_TRUE(stats.blocks.empty());
 }
 
+TEST_F(AccountingTest, PerRunEventsOnlyWithoutTraces)
+{
+    // The CPU charges the recorder per straight-line run only when
+    // the recorder says it can take that; a trace needs every
+    // instruction (and its ordinal) as it executes.
+    load("main: sys 0");
+    EXPECT_EQ(rec->asRecorder(), rec.get());
+    RecorderConfig cfg;
+    cfg.blockSets = true;
+    load("main: sys 0", cfg);
+    EXPECT_EQ(rec->asRecorder(), rec.get());
+    cfg = {};
+    cfg.instTrace = true;
+    load("main: sys 0", cfg);
+    EXPECT_EQ(rec->asRecorder(), nullptr);
+    cfg = {};
+    cfg.memTrace = true;
+    load("main: sys 0", cfg);
+    EXPECT_EQ(rec->asRecorder(), nullptr);
+}
+
+TEST_F(AccountingTest, RecorderForAnotherProgramStaysPerInstruction)
+{
+    // Per-run events index the recorder's own tables by the CPU's
+    // program slots, so a recorder built from a different program
+    // must be driven per instruction instead.
+    load(R"(
+        main:
+            li t0, 3
+        loop:
+            addi t0, t0, -1
+            bnez t0, loop
+            sys 0
+    )");
+    isa::Program other =
+        isa::Assembler(layout::textBase).assemble("main: sys 0", "other");
+    BlockMap other_blocks(other);
+    PacketRecorder foreign(other, other_blocks);
+    cpu.setObserver(&foreign);
+    foreign.beginPacket();
+    RunResult result = cpu.run(prog.entry());
+    PacketStats stats = foreign.endPacket();
+    EXPECT_EQ(stats.instCount, result.instCount);
+    EXPECT_EQ(foreign.totalInsts(), result.instCount);
+}
+
 TEST_F(AccountingTest, RunLevelMemoryCoverage)
 {
     load(R"(

@@ -91,6 +91,26 @@ expectStatsEqual(const PacketStats &a, const PacketStats &b,
     EXPECT_EQ(a.blocks, b.blocks) << what;
 }
 
+/** The recorder's run-level aggregates must match too. */
+void
+expectAggregatesEqual(const PacketRecorder &a, const PacketRecorder &b,
+                      const std::string &what)
+{
+    EXPECT_EQ(a.totalInsts(), b.totalInsts()) << what;
+    EXPECT_EQ(a.classCounts(), b.classCounts()) << what;
+    EXPECT_EQ(a.instMemoryBytes(), b.instMemoryBytes()) << what;
+    EXPECT_EQ(a.dataMemoryBytes(), b.dataMemoryBytes()) << what;
+}
+
+/** The block-set configuration most differential harnesses use. */
+RecorderConfig
+withBlockSets()
+{
+    RecorderConfig cfg;
+    cfg.blockSets = true;
+    return cfg;
+}
+
 /**
  * One application on one simulated machine, driven with the
  * framework's calling convention (mirrors PacketBench's per-packet
@@ -111,7 +131,8 @@ struct AppHarness
     /** @p wired selects what setObserver() sees (solo vs fan-out). */
     enum class Obs { None, RecorderOnly, RecorderAndStream };
 
-    AppHarness(an::AppKind kind, DispatchMode mode, Obs wired)
+    AppHarness(an::AppKind kind, DispatchMode mode, Obs wired,
+               RecorderConfig rcfg = withBlockSets())
     {
         an::ExperimentConfig cfg;
         app = an::makeApp(kind, cfg);
@@ -119,8 +140,6 @@ struct AppHarness
         cpu.loadProgram(prog);
         entry = prog.entry("main");
         blockMap = std::make_unique<sim::BlockMap>(prog);
-        RecorderConfig rcfg;
-        rcfg.blockSets = true;
         rec = std::make_unique<sim::PacketRecorder>(prog, *blockMap,
                                                     rcfg);
         cpu.setDispatchMode(mode);
@@ -167,7 +186,10 @@ struct AppHarness
  * Every application, hundreds of packets: the reference loop, the
  * block-stepped loop (in its no-observer, devirtualized-recorder,
  * and generic-observer configurations), and the recorded statistics
- * and event streams must all agree exactly.
+ * and event streams must all agree exactly.  The devirtualized
+ * recorder is charged per straight-line run; it runs both with block
+ * sets and in the summary-only default configuration every real run
+ * uses, each against a reference recorder of the same configuration.
  */
 TEST(InterpDiff, AppsAgreeAcrossDispatchModesAndObservers)
 {
@@ -186,6 +208,10 @@ TEST(InterpDiff, AppsAgreeAcrossDispatchModesAndObservers)
         AppHarness blkSolo(kind, DispatchMode::Blocked,
                            Obs::RecorderOnly);
         AppHarness blkNone(kind, DispatchMode::Blocked, Obs::None);
+        AppHarness refSummary(kind, DispatchMode::Reference,
+                              Obs::RecorderOnly, RecorderConfig{});
+        AppHarness blkSummary(kind, DispatchMode::Blocked,
+                              Obs::RecorderOnly, RecorderConfig{});
 
         std::string title = an::appTitle(kind);
         for (uint32_t i = 0; i < packets.size(); i++) {
@@ -193,13 +219,16 @@ TEST(InterpDiff, AppsAgreeAcrossDispatchModesAndObservers)
                 title + " packet " + std::to_string(i);
             const net::Packet &p = packets[i];
 
-            PacketStats sRef, sFull, sSolo;
+            PacketStats sRef, sFull, sSolo, sRefSum, sSum;
             RunResult rRef = refFull.runOne(p, &sRef);
             RunResult rFull = blkFull.runOne(p, &sFull);
             RunResult rSolo = blkSolo.runOne(p, &sSolo);
             RunResult rNone = blkNone.runOne(p, nullptr);
+            RunResult rRefSum = refSummary.runOne(p, &sRefSum);
+            RunResult rSum = blkSummary.runOne(p, &sSum);
 
-            for (const RunResult *r : {&rFull, &rSolo, &rNone}) {
+            for (const RunResult *r :
+                 {&rFull, &rSolo, &rNone, &rRefSum, &rSum}) {
                 EXPECT_EQ(static_cast<int>(rRef.stopCode),
                           static_cast<int>(r->stopCode))
                     << ctx;
@@ -214,9 +243,13 @@ TEST(InterpDiff, AppsAgreeAcrossDispatchModesAndObservers)
                     << ctx << " r" << r;
                 EXPECT_EQ(refFull.cpu.reg(r), blkNone.cpu.reg(r))
                     << ctx << " r" << r;
+                EXPECT_EQ(refFull.cpu.reg(r), blkSummary.cpu.reg(r))
+                    << ctx << " r" << r;
             }
             expectStatsEqual(sRef, sFull, ctx + " (generic)");
             expectStatsEqual(sRef, sSolo, ctx + " (solo)");
+            expectStatsEqual(sRefSum, sSum, ctx + " (summary)");
+            EXPECT_TRUE(sSum.blocks.empty()) << ctx;
             if (refFull.recording.events !=
                 blkFull.recording.events) {
                 FAIL() << ctx << ": event streams diverge ("
@@ -229,28 +262,116 @@ TEST(InterpDiff, AppsAgreeAcrossDispatchModesAndObservers)
         }
 
         // Run-level aggregates accumulated by the recorders.
-        EXPECT_EQ(refFull.rec->totalInsts(),
-                  blkFull.rec->totalInsts())
-            << title;
-        EXPECT_EQ(refFull.rec->instMemoryBytes(),
-                  blkFull.rec->instMemoryBytes())
-            << title;
-        EXPECT_EQ(refFull.rec->dataMemoryBytes(),
-                  blkFull.rec->dataMemoryBytes())
-            << title;
-        EXPECT_EQ(refFull.rec->classCounts(),
-                  blkFull.rec->classCounts())
-            << title;
+        expectAggregatesEqual(*refFull.rec, *blkFull.rec,
+                              title + " (generic)");
+        expectAggregatesEqual(*refFull.rec, *blkSolo.rec,
+                              title + " (solo)");
+        expectAggregatesEqual(*refSummary.rec, *blkSummary.rec,
+                              title + " (summary)");
         EXPECT_EQ(refFull.cpu.totalInstCount(),
                   blkFull.cpu.totalInstCount())
             << title;
     }
 }
 
+/**
+ * Runs that overlap: a branch into the middle of a straight-line run
+ * starts a shorter run over the same words, and a fall-through from
+ * a preceding label starts a longer one.  The per-run recorder keys
+ * its O(1) path on the run's start slot, so within one packet each
+ * overlapping run must still count exactly the words the reference
+ * counts, in either order of first execution, with and without block
+ * sets.
+ */
+TEST(InterpDiff, RecorderAgreesOnOverlappingRuns)
+{
+    // main: the run at `mid` executes before the run at `top`, which
+    // covers it.  alt: the run at `alt` (falling through `top` and
+    // `mid`) executes first; the run at `mid` comes later.
+    isa::Program prog = isa::Assembler(sim::layout::textBase)
+                            .assemble(R"(
+        main:
+            li t1, 2
+            j mid
+        alt:
+            li t1, 1
+            li t4, 1
+        top:
+            addi t0, t0, 1
+        mid:
+            addi t2, t2, 1
+            addi t1, t1, -1
+            bne t1, zero, top
+            beq t4, zero, done
+            li t4, 0
+            li t1, 1
+            j mid
+        done:
+            sys 1
+    )",
+                                      "overlap");
+    BlockMap blocks(prog);
+
+    struct Machine
+    {
+        Memory mem;
+        Cpu cpu{mem};
+        PacketRecorder rec;
+        RecordingObserver stream;
+        FanoutObserver fanout;
+
+        Machine(const isa::Program &p, const BlockMap &b,
+                RecorderConfig cfg, DispatchMode mode, bool generic)
+            : rec(p, b, cfg)
+        {
+            cpu.loadProgram(p);
+            cpu.setDispatchMode(mode);
+            fanout.add(&rec);
+            if (generic)
+                fanout.add(&stream);
+            cpu.setObserver(&fanout);
+        }
+
+        PacketStats
+        runOne(uint32_t entry)
+        {
+            cpu.resetRegs();
+            rec.beginPacket();
+            cpu.run(entry, 1000);
+            return rec.endPacket();
+        }
+    };
+
+    for (RecorderConfig cfg : {RecorderConfig{}, withBlockSets()}) {
+        std::string what =
+            cfg.blockSets ? "block sets" : "summary only";
+        Machine ref(prog, blocks, cfg, DispatchMode::Reference, false);
+        Machine solo(prog, blocks, cfg, DispatchMode::Blocked, false);
+        Machine generic(prog, blocks, cfg, DispatchMode::Blocked, true);
+        const char *order[] = {"main", "alt", "alt", "main", "main"};
+        for (const char *sym : order) {
+            uint32_t entry = prog.entry(sym);
+            PacketStats a = ref.runOne(entry);
+            expectStatsEqual(a, solo.runOne(entry),
+                             what + " solo @" + sym);
+            expectStatsEqual(a, generic.runOne(entry),
+                             what + " generic @" + sym);
+            // Every executed word counts once: main skips alt's two
+            // words and the three before `done`; alt skips main's two.
+            EXPECT_EQ(a.uniqueInstCount,
+                      std::string(sym) == "main" ? 8u : 11u)
+                << what << " @" << sym;
+        }
+        expectAggregatesEqual(ref.rec, solo.rec, what + " solo");
+        expectAggregatesEqual(ref.rec, generic.rec, what + " generic");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Fault matrix: hand-built programs that fault, run under every
-// dispatch configuration.  Exception type, message, and the register
-// file at the throw must match the reference loop exactly.
+// dispatch configuration.  Exception type, message, the register
+// file at the throw, and the recorder's partial statistics must
+// match the reference loop exactly.
 // ---------------------------------------------------------------------
 
 /** How one faulting run ended. */
@@ -259,6 +380,8 @@ struct FaultOutcome
     std::string type;    ///< typeid-independent label, set by caller
     std::string message; ///< e..what()
     uint32_t regs[isa::numRegs];
+    /** The recorder's packet at the throw (empty: no recorder). */
+    PacketStats stats;
 };
 
 class FaultMatrix : public ::testing::Test
@@ -301,6 +424,9 @@ class FaultMatrix : public ::testing::Test
         switch (mode) {
           case Mode::Ref:
             cpu.setDispatchMode(DispatchMode::Reference);
+            fanout.add(&rec);
+            cpu.setObserver(&fanout);
+            rec.beginPacket();
             break;
           case Mode::BlockedNone:
             break;
@@ -331,12 +457,17 @@ class FaultMatrix : public ::testing::Test
         }
         for (unsigned r = 0; r < isa::numRegs; r++)
             out.regs[r] = cpu.reg(r);
+        if (mode != Mode::BlockedNone)
+            out.stats = rec.endPacket();
         return out;
     }
 
-    /** Run under all modes and require identical outcomes. */
+    /**
+     * Run under all modes and require identical outcomes; returns the
+     * reference recorder's partial statistics at the fault.
+     */
     template <typename ErrT>
-    void
+    PacketStats
     expectSameFault(const std::string &src,
                     const std::string &expect_message,
                     uint64_t budget = 1000)
@@ -352,7 +483,23 @@ class FaultMatrix : public ::testing::Test
             for (unsigned r = 0; r < isa::numRegs; r++)
                 EXPECT_EQ(ref.regs[r], got.regs[r])
                     << modeName(m) << " r" << r;
+            if (m == Mode::BlockedNone)
+                continue;
+            // Partial statistics: the reference charges the faulting
+            // instruction (onInst precedes execution) but not its
+            // failed access; the per-run recorder must agree.
+            const PacketStats &a = ref.stats, &b = got.stats;
+            EXPECT_EQ(a.instCount, b.instCount) << modeName(m);
+            EXPECT_EQ(a.uniqueInstCount, b.uniqueInstCount)
+                << modeName(m);
+            EXPECT_EQ(a.packetReads, b.packetReads) << modeName(m);
+            EXPECT_EQ(a.packetWrites, b.packetWrites) << modeName(m);
+            EXPECT_EQ(a.nonPacketReads, b.nonPacketReads)
+                << modeName(m);
+            EXPECT_EQ(a.nonPacketWrites, b.nonPacketWrites)
+                << modeName(m);
         }
+        return ref.stats;
     }
 };
 
@@ -420,6 +567,37 @@ TEST_F(FaultMatrix, UnmappedStoreMidBlock)
     )",
                                  "access to unmapped address 0x0 "
                                  "(4 bytes)");
+}
+
+TEST_F(FaultMatrix, FaultMidRunAfterRepeatsChargesThePrefix)
+{
+    // The loop body is one straight-line run.  Its first pass is
+    // charged word by word, the next two hit the per-run fast path,
+    // and the fourth faults on its second instruction (the store to
+    // address 0), so the partial statistics must hold three full
+    // passes, the prefix, and the faulting store itself — but not
+    // the store's access.
+    const std::string src = R"(
+        main:
+            li t5, 0x8000000
+            lbu t4, 0(t5)
+            li t0, 0x100000
+            li t1, 3
+        loop:
+            mul t2, t0, t1
+            sw t1, 0(t2)
+            lw t3, 0(t2)
+            addi t1, t1, -1
+            j loop
+    )";
+    PacketStats ref = expectSameFault<MemoryError>(
+        src, "access to unmapped address 0x0 (4 bytes)");
+    // li 0x8000000 and li 0x100000 each expand to two instructions.
+    EXPECT_EQ(ref.instCount, 6u + 3u * 5u + 2u);
+    EXPECT_EQ(ref.uniqueInstCount, 11u);
+    EXPECT_EQ(ref.packetReads, 1u);
+    EXPECT_EQ(ref.nonPacketWrites, 3u);
+    EXPECT_EQ(ref.nonPacketReads, 3u);
 }
 
 TEST_F(FaultMatrix, UndecodableWord)
