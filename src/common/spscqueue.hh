@@ -9,14 +9,12 @@
  * head/tail pair is enough, and the bounded capacity provides
  * back-pressure when the dispatcher outruns a worker.
  *
- * Waiting is spin -> backoff -> park.  A pure yield() spin was fine
- * for finite batch runs, but a persistent daemon (service/daemon.hh)
- * pins one core per *idle* worker at 100% with it.  A blocked side
- * now spins briefly (cheap when the peer is actively streaming),
- * backs off with yields, then parks on a condition variable; the
- * peer wakes it only when someone is actually parked, so the
- * streaming fast path stays a pair of atomic ops plus one fence and
- * an un-contended flag load.
+ * Waiting is spin -> yield -> park (common/parker.hh).  A pure
+ * yield() spin was fine for finite batch runs, but a persistent
+ * daemon (service/daemon.hh) pins one core per *idle* worker at 100%
+ * with it.  The peer wakes a parked side only when someone is
+ * actually parked, so the streaming fast path stays a pair of atomic
+ * ops plus one fence and an un-contended flag load.
  *
  * Contract:
  *  - exactly one thread calls push()/close(), exactly one calls pop(),
@@ -31,33 +29,13 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <mutex>
-#include <thread>
 #include <vector>
+
+#include "common/parker.hh"
 
 namespace pb
 {
-
-namespace detail
-{
-
-/** One polite spin-wait iteration for the pre-park phase. */
-inline void
-cpuRelax()
-{
-#if defined(__x86_64__) || defined(__i386__)
-    __builtin_ia32_pause();
-#elif defined(__aarch64__) || defined(__arm__)
-    asm volatile("yield" ::: "memory");
-#else
-    std::this_thread::yield();
-#endif
-}
-
-} // namespace detail
 
 /** Bounded SPSC ring buffer holding up to @p capacity items. */
 template <typename T>
@@ -75,11 +53,14 @@ class SpscQueue
     {
         size_t h = head.load(std::memory_order_relaxed);
         size_t nh = next(h);
-        if (nh == tail.load(std::memory_order_acquire))
-            waitNotFull(nh);
+        if (nh == tail.load(std::memory_order_acquire)) {
+            parker.wait(
+                [&] { return nh != tail.load(std::memory_order_acquire); },
+                parkSlice);
+        }
         slots[h] = std::move(item);
         head.store(nh, std::memory_order_release);
-        wakePeer();
+        parker.wake();
     }
 
     /**
@@ -92,12 +73,18 @@ class SpscQueue
     {
         size_t t = tail.load(std::memory_order_relaxed);
         if (t == head.load(std::memory_order_acquire)) {
-            if (!waitNotEmpty(t))
-                return false;
+            parker.wait(
+                [&] {
+                    return t != head.load(std::memory_order_acquire) ||
+                           closed_.load(std::memory_order_acquire);
+                },
+                parkSlice);
+            if (t == head.load(std::memory_order_acquire))
+                return false; // closed and drained
         }
         out = std::move(slots[t]);
         tail.store(next(t), std::memory_order_release);
-        wakePeer();
+        parker.wake();
         return true;
     }
 
@@ -106,10 +93,9 @@ class SpscQueue
     close()
     {
         closed_.store(true, std::memory_order_release);
-        // Always lock-and-notify: a consumer parked on an empty
-        // queue must observe closed and return false.
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
+        // Always wake: a consumer parked on an empty queue must
+        // observe closed and return false.
+        parker.wakeAll();
     }
 
     /** True once close() was called (items may still be queued). */
@@ -135,10 +121,12 @@ class SpscQueue
     }
 
   private:
-    /// Pause-loop iterations before escalating to yield().
-    static constexpr int pauseSpins = 256;
-    /// Total spin iterations (pause + yield) before parking.
-    static constexpr int maxSpins = 2048;
+    /**
+     * Backstop re-check period for a parked side; the wake protocol
+     * makes a lost wake impossible, so this only turns "impossible"
+     * into "100 ms hiccup".
+     */
+    static constexpr std::chrono::milliseconds parkSlice{100};
 
     size_t
     next(size_t i) const
@@ -146,85 +134,17 @@ class SpscQueue
         return i + 1 == slots.size() ? 0 : i + 1;
     }
 
-    /**
-     * Dekker-style wake: the caller's index store (release) must be
-     * ordered before the sleeper-flag load, and the sleeper's flag
-     * store before its index re-check; the seq_cst fences on both
-     * sides guarantee at least one thread sees the other.  Notify
-     * under the mutex so a wake cannot slip between the sleeper's
-     * final re-check and its wait.
-     */
-    void
-    wakePeer()
-    {
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        if (sleepers.load(std::memory_order_relaxed) == 0)
-            return;
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-    }
-
-    /** Producer-side wait until slot @p nh is free. */
-    void
-    waitNotFull(size_t nh)
-    {
-        for (int i = 0; i < maxSpins; i++) {
-            if (nh != tail.load(std::memory_order_acquire))
-                return;
-            if (i < pauseSpins)
-                detail::cpuRelax();
-            else
-                std::this_thread::yield();
-        }
-        std::unique_lock<std::mutex> lock(mu);
-        sleepers.fetch_add(1, std::memory_order_seq_cst);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        while (nh == tail.load(std::memory_order_acquire)) {
-            // Bounded wait as a belt-and-braces backstop; the fence
-            // protocol above makes a lost wake impossible, so this
-            // only turns "impossible" into "100 ms hiccup".
-            cv.wait_for(lock, std::chrono::milliseconds(100));
-        }
-        sleepers.fetch_sub(1, std::memory_order_relaxed);
-    }
-
-    /**
-     * Consumer-side wait until an item exists at @p t or the queue
-     * is closed and drained; true when an item is ready.
-     */
-    bool
-    waitNotEmpty(size_t t)
-    {
-        for (int i = 0; i < maxSpins; i++) {
-            if (t != head.load(std::memory_order_acquire))
-                return true;
-            if (closed_.load(std::memory_order_acquire))
-                return t != head.load(std::memory_order_acquire);
-            if (i < pauseSpins)
-                detail::cpuRelax();
-            else
-                std::this_thread::yield();
-        }
-        std::unique_lock<std::mutex> lock(mu);
-        sleepers.fetch_add(1, std::memory_order_seq_cst);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        while (t == head.load(std::memory_order_acquire) &&
-               !closed_.load(std::memory_order_acquire)) {
-            cv.wait_for(lock, std::chrono::milliseconds(100));
-        }
-        sleepers.fetch_sub(1, std::memory_order_relaxed);
-        return t != head.load(std::memory_order_acquire);
-    }
-
     std::vector<T> slots;
     std::atomic<size_t> head{0}; ///< producer-owned write index
     std::atomic<size_t> tail{0}; ///< consumer-owned read index
     std::atomic<bool> closed_{false};
 
-    /** Threads parked (or about to park) on cv. */
-    std::atomic<uint32_t> sleepers{0};
-    std::mutex mu;
-    std::condition_variable cv;
+    /**
+     * One parker serves both sides: the producer waits only on a
+     * full queue and the consumer only on an empty one, so at most
+     * one side is ever parked.
+     */
+    Parker parker;
 };
 
 } // namespace pb

@@ -27,23 +27,33 @@
  *    the whole existing engine/bench stack runs off a live ring
  *    unchanged.
  *
- * The ring is mutex-based — ingest hand-off is per-packet at service
- * rates (not per-batch at simulator-bench rates), and a lock +
- * condvar keeps parked producers/consumers at near-zero CPU, which
- * is the daemon's idle contract.
+ * The hand-off is per packet at service rates, where a lock costs
+ * more than reading the packet from the trace (docs/PERFORMANCE.md),
+ * so the data path is lock-free: a bounded MPMC ring in the style of
+ * Vyukov's, where every slot carries a sequence number and producers
+ * and consumers claim tickets by CAS on an enqueue and a dequeue
+ * index.  Delivery is FIFO in ticket order, so one producer's order
+ * is the consumer's order.
+ *
+ * close() sets a closed bit *inside* the enqueue index, so a push
+ * either claimed its ticket before the close (and its packet is
+ * drained) or fails its claim and returns false: an accepted packet
+ * is never lost to teardown.  Blocked sides wait spin -> yield ->
+ * park with the same protocol as the engines' SPSC queues
+ * (common/parker.hh), which keeps an idle ring at near-zero CPU, the
+ * daemon's idle contract.
  */
 
 #ifndef PB_SERVICE_INGEST_HH
 #define PB_SERVICE_INGEST_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <mutex>
+#include <memory>
 #include <string>
 
+#include "common/parker.hh"
 #include "net/trace.hh"
 
 namespace pb::service
@@ -90,9 +100,13 @@ class IngestRing
     void close();
 
     /** True once close() was called (packets may still be queued). */
-    bool closed() const;
+    bool
+    closed() const
+    {
+        return enq.load(std::memory_order_acquire) & closedBit;
+    }
 
-    /** Current occupancy. */
+    /** Current occupancy (approximate while other threads run). */
     size_t size() const;
 
     /** Maximum occupancy. */
@@ -113,15 +127,44 @@ class IngestRing
     }
 
   private:
-    mutable std::mutex mu;
-    std::condition_variable notFull;
-    std::condition_variable notEmpty;
-    std::deque<net::Packet> items;
-    const size_t cap;
-    bool closed_ = false;
+    /// Set in the enqueue index by close(); the rest is the ticket.
+    static constexpr uint64_t closedBit = uint64_t(1) << 63;
 
+    /**
+     * Ticket t lives in slot t % cap.  The slot is free for ticket t
+     * when seq == 2t, holds its packet when seq == 2t + 1, and is
+     * freed for ticket t + cap by the pop.  (Doubling, rather than
+     * Vyukov's t / t + 1, keeps "full" and "free" apart when
+     * cap == 1.)  One slot per cache line, so a consumer right behind
+     * the producer does not share a line with the slot being filled.
+     */
+    struct alignas(64) Slot
+    {
+        std::atomic<uint64_t> seq;
+        net::Packet packet;
+    };
+
+    enum class Claim { Done, Full, Closed };
+
+    Claim tryEnqueue(net::Packet &packet);
+    bool writable() const;
+    bool readable() const;
+    bool drained() const;
+
+    const size_t cap;
+    std::unique_ptr<Slot[]> slots;
+
+    // Producer-written, consumer-written and parker state each get
+    // their own cache lines.
+    alignas(64) std::atomic<uint64_t> enq{0}; ///< next ticket | closedBit
     std::atomic<uint64_t> accepted_{0};
     std::atomic<uint64_t> dropped_{0};
+    alignas(64) std::atomic<uint64_t> deq{0}; ///< next ticket to pop
+    /// Set by close() after the closed bit, so a consumer waiting on
+    /// an empty ring polls no line that producers write per packet.
+    std::atomic<bool> closing{false};
+    alignas(64) Parker notEmpty;              ///< parked consumers
+    alignas(64) Parker notFull;               ///< parked producers
 };
 
 /**
