@@ -17,19 +17,20 @@ TsaAnonymizer::TsaAnonymizer(uint32_t key)
     // Top table: apply the Xu et al. per-bit construction over the
     // 16-bit top half, exhaustively precomputed.  The flip for bit i
     // depends only on the preceding i bits, so the table is
-    // prefix-preserving by construction.
-    top.resize(topEntries);
-    for (uint32_t t = 0; t < topEntries; t++) {
-        uint32_t anon = 0;
-        uint32_t path = 0;
-        for (unsigned i = 0; i < 16; i++) {
-            uint32_t orig_bit = (t >> (15 - i)) & 1;
+    // prefix-preserving by construction.  Built level by level in
+    // place: after level i, top[p] holds the anonymized form of the
+    // (i+1)-bit prefix p, and each (level, path) flip bit is
+    // evaluated exactly once.  Walking p downwards keeps every
+    // prefix readable until both of its children are written.
+    top.assign(topEntries, 0);
+    for (unsigned i = 0; i < 16; i++) {
+        for (uint32_t path = 1u << i; path-- > 0;) {
             uint32_t flip =
                 prf32(key ^ 0x70700000u, ((1u << i) - 1) + path) & 1;
-            anon = (anon << 1) | (orig_bit ^ flip);
-            path = (path << 1) | orig_bit;
+            uint32_t anon = static_cast<uint32_t>(top[path]) << 1;
+            top[2 * path] = static_cast<uint16_t>(anon | flip);
+            top[2 * path + 1] = static_cast<uint16_t>(anon | (flip ^ 1));
         }
-        top[t] = static_cast<uint16_t>(anon);
     }
 
     // Replicated subtree for the bottom half: one flip bit per

@@ -34,10 +34,8 @@ Ipv4RadixApp::setup(sim::Memory &mem)
     std::vector<uint32_t> image = table.packImage(appDataBase);
     if (image.size() * 4 > sim::layout::dataSize / 2)
         fatal("radix image too large for the data region");
-    for (size_t i = 0; i < image.size(); i++) {
-        mem.write32(appDataBase + static_cast<uint32_t>(i) * 4,
-                    image[i]);
-    }
+    mem.writeWords(appDataBase, image.data(),
+                   static_cast<uint32_t>(image.size()));
 
     std::string src = asmPreamble();
     src += strprintf(".equ RADIX_ROOT, 0x%08x\n", appDataBase);

@@ -21,10 +21,8 @@ Ipv4TrieApp::setup(sim::Memory &mem)
     uint32_t leaf_base = 0;
     std::vector<uint32_t> image =
         lcTrie.packImage(appDataBase, leaf_base);
-    for (size_t i = 0; i < image.size(); i++) {
-        mem.write32(appDataBase + static_cast<uint32_t>(i) * 4,
-                    image[i]);
-    }
+    mem.writeWords(appDataBase, image.data(),
+                   static_cast<uint32_t>(image.size()));
 
     std::string src = asmPreamble();
     src += strprintf(".equ TRIE_BASE, 0x%08x\n"

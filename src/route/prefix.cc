@@ -5,7 +5,7 @@
 
 #include "prefix.hh"
 
-#include <set>
+#include <unordered_set>
 
 #include "common/bitops.hh"
 #include "common/rng.hh"
@@ -39,12 +39,17 @@ generate(uint32_t n, uint32_t seed, uint8_t min_len, uint8_t max_len,
          bool all_slash8)
 {
     Rng rng(seed ^ 0x0a11e57u);
+    const size_t capacity = size_t{n} + 1 + (all_slash8 ? 256 : 0);
     std::vector<RouteEntry> table;
-    std::set<std::pair<uint32_t, uint8_t>> seen;
+    table.reserve(capacity);
+    // Dedup only; the table keeps insertion order.  Key: prefix and
+    // length packed into one word.
+    std::unordered_set<uint64_t> seen;
+    seen.reserve(capacity);
 
     auto add = [&](uint32_t prefix, uint8_t len) -> bool {
         prefix &= pb::prefixMask(len);
-        if (!seen.emplace(prefix, len).second)
+        if (!seen.insert(uint64_t{prefix} << 8 | len).second)
             return false;
         table.push_back(
             {prefix, len, 1 + rng.below(numInterfaces)});

@@ -22,6 +22,7 @@
 
 #include "sim/bblock.hh"
 #include "sim/cpu.hh"
+#include "sim/zeropages.hh"
 
 namespace pb::sim
 {
@@ -203,13 +204,18 @@ class PacketRecorder final : public ExecObserver
     /** @} */
 
   private:
-    /** Tracks which byte offsets of a region have been touched. */
+    /**
+     * Tracks which byte offsets of a region have been touched.  The
+     * bitmap lives in lazily zeroed pages, like simulated memory
+     * itself: a recorder commits bitmap pages only where the
+     * application touches its regions.
+     */
     struct TouchMap
     {
         uint32_t base = 0;
         uint32_t size = 0;
-        /** One bit per byte offset. */
-        std::vector<uint64_t> bits;
+        /** One bit per byte offset, as 64-bit words. */
+        ZeroPages bits;
         uint64_t count = 0;
 
         void
@@ -217,7 +223,8 @@ class PacketRecorder final : public ExecObserver
         {
             base = base_addr;
             size = size_bytes;
-            bits.assign((size_bytes + 63) / 64, 0);
+            bits = ZeroPages((size_t{size_bytes} + 63) / 64 *
+                             sizeof(uint64_t));
             count = 0;
         }
 
@@ -241,7 +248,7 @@ class PacketRecorder final : public ExecObserver
                 // Store only on news: most accesses re-touch bytes
                 // marked long ago, and a store per access costs far
                 // more than the load.
-                uint64_t &w = bits[off >> 6];
+                uint64_t &w = bits.as<uint64_t>()[off >> 6];
                 if (const uint64_t fresh = mask & ~w) {
                     count += static_cast<uint64_t>(std::popcount(fresh));
                     w |= fresh;

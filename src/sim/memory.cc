@@ -36,7 +36,7 @@ memRegionName(MemRegion region)
 Memory::Memory()
 {
     for (unsigned r = 0; r < layout::numRegions; r++) {
-        store[r].assign(layout::regionSize[r], 0);
+        store[r] = ZeroPages(layout::regionSize[r]);
         dirtyLo[r] = layout::regionSize[r];
         dirtyHi[r] = 0;
     }
@@ -71,6 +71,25 @@ Memory::writeBlock(uint32_t addr, const uint8_t *data, uint32_t len)
     if (len == 0)
         return;
     std::memcpy(writable(addr, len).ptr, data, len);
+}
+
+void
+Memory::writeWords(uint32_t addr, const uint32_t *words, uint32_t n)
+{
+    if (!isAligned(addr, 4)) [[unlikely]]
+        throwMisaligned("32-bit write", addr);
+    if (n == 0)
+        return;
+    // A span whose byte length overflows 32 bits fits no region.
+    if (n > UINT32_MAX / 4) [[unlikely]]
+        throwUnmapped(addr, UINT32_MAX);
+    uint8_t *p = writable(addr, n * 4).ptr;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(p, words, size_t{n} * 4);
+    } else {
+        for (uint32_t i = 0; i < n; i++)
+            storeWord(p + size_t{i} * 4, words[i]);
+    }
 }
 
 void

@@ -17,6 +17,15 @@
  * scan, and the CPU classifies each access exactly once (the region
  * rides along with the resolved pointer instead of being recomputed
  * for the observer).
+ *
+ * Storage is proportional to use.  Each region is backed by lazily
+ * zeroed host pages (sim/zeropages.hh): constructing a Memory commits
+ * no page, a never-written byte reads 0, and a host page costs a
+ * page fault and a kernel zero-fill the first time anything touches
+ * it.  Every simulated access still goes through readable() or
+ * writable(), so region bounds are enforced there, not by the host
+ * allocation.  Each region also tracks the extent of bytes written
+ * since the last reset(), so a reset re-zeroes only that slice.
  */
 
 #ifndef PB_SIM_MEMORY_HH
@@ -25,12 +34,13 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <vector>
+#include <utility>
 
 #include "common/bitops.hh"
 #include "common/byteorder.hh"
 #include "sim/memmap.hh"
 #include "sim/simerror.hh"
+#include "sim/zeropages.hh"
 
 namespace pb::sim
 {
@@ -219,6 +229,13 @@ class Memory
     /** Bulk copy into simulated memory (host-side, unaccounted). */
     void writeBlock(uint32_t addr, const uint8_t *data, uint32_t len);
 
+    /**
+     * Store @p n 32-bit words at word-aligned @p addr (host-side,
+     * unaccounted): the same bytes as n write32() calls, with one
+     * resolve and one dirty-extent update for the whole span.
+     */
+    void writeWords(uint32_t addr, const uint32_t *words, uint32_t n);
+
     /** Bulk copy out of simulated memory (host-side, unaccounted). */
     void readBlock(uint32_t addr, uint8_t *data, uint32_t len) const;
 
@@ -284,8 +301,8 @@ class Memory
     [[noreturn]] static void throwMisaligned(const char *what,
                                              uint32_t addr);
 
-    /** Backing bytes, indexed by MemRegion value (Text..Stack). */
-    std::vector<uint8_t> store[layout::numRegions];
+    /** Backing pages, indexed by MemRegion value (Text..Stack). */
+    ZeroPages store[layout::numRegions];
 
     /** Dirty extent per region, as [lo, hi) offsets from the base. */
     uint32_t dirtyLo[layout::numRegions];

@@ -1,13 +1,22 @@
 /**
  * @file
- * Simulated memory tests: regions, widths, endianness, bounds.
+ * Simulated memory tests: regions, widths, endianness, bounds, and
+ * lazily committed backing pages.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <tuple>
+#include <unistd.h>
 
+#include <cstring>
+#include <fstream>
+#include <memory>
+#include <tuple>
+#include <vector>
+
+#include "isa/assembler.hh"
+#include "sim/accounting.hh"
+#include "sim/bblock.hh"
 #include "sim/memory.hh"
 
 namespace
@@ -171,6 +180,85 @@ TEST(Memory, ResetZeroesOnlyDirtyBytesAndClearsExtent)
     // And the memory is writable/readable as usual afterwards.
     mem.write32(dataBase, 42);
     EXPECT_EQ(mem.read32(dataBase), 42u);
+}
+
+/** Resident set size of this process in bytes (/proc/self/statm). */
+uint64_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    uint64_t size_pages = 0, resident_pages = 0;
+    statm >> size_pages >> resident_pages;
+    return resident_pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+TEST(Memory, ConstructionCommitsNoPages)
+{
+    isa::Program prog =
+        isa::Assembler(textBase).assemble("main: sys 0", "lazy");
+    BlockMap blocks(prog);
+    uint64_t before = residentBytes();
+    ASSERT_GT(before, 0u) << "no /proc/self/statm";
+
+    // Eight machines, as many as the paper mix builds.  A store that
+    // zero-fills its regions and footprint bitmaps up front commits
+    // about 130 MiB here.
+    std::vector<std::unique_ptr<Memory>> mems;
+    std::vector<std::unique_ptr<PacketRecorder>> recs;
+    for (int i = 0; i < 8; i++) {
+        mems.push_back(std::make_unique<Memory>());
+        recs.push_back(std::make_unique<PacketRecorder>(prog, blocks));
+    }
+    uint64_t after = residentBytes();
+    uint64_t grown = after > before ? after - before : 0;
+    EXPECT_LT(grown, 4u << 20) << grown << " bytes became resident";
+}
+
+TEST(Memory, UntouchedRegionEndsReadZero)
+{
+    Memory mem;
+    for (unsigned r = 0; r < numRegions; r++) {
+        EXPECT_EQ(mem.read8(regionBase[r]), 0u) << r;
+        EXPECT_EQ(mem.read8(regionBase[r] + regionSize[r] - 1), 0u) << r;
+    }
+}
+
+TEST(Memory, WriteWordsMatchesWrite32)
+{
+    const uint32_t words[] = {0x11223344, 0xdeadbeef, 0, 0x80000001};
+    Memory bulk, single;
+    bulk.writeWords(dataBase + 256, words, 4);
+    for (uint32_t i = 0; i < 4; i++)
+        single.write32(dataBase + 256 + i * 4, words[i]);
+    for (uint32_t off = 252; off < 276; off++)
+        EXPECT_EQ(bulk.read8(dataBase + off), single.read8(dataBase + off))
+            << off;
+    EXPECT_EQ(bulk.dirtyExtent(MemRegion::Data),
+              single.dirtyExtent(MemRegion::Data));
+
+    EXPECT_THROW(bulk.writeWords(dataBase + 2, words, 1), AlignmentError);
+    EXPECT_THROW(bulk.writeWords(packetBase + packetSize - 8, words, 4),
+                 MemoryError);
+    EXPECT_NO_THROW(bulk.writeWords(dataBase, nullptr, 0));
+}
+
+TEST(Memory, FootprintMarksAcrossBitmapPageBoundary)
+{
+    isa::Program prog =
+        isa::Assembler(textBase).assemble("main: sys 0", "lazy");
+    BlockMap blocks(prog);
+    PacketRecorder rec(prog, blocks);
+
+    // One bitmap page covers 8 bits per byte of page.
+    const uint32_t boundary =
+        dataBase + static_cast<uint32_t>(sysconf(_SC_PAGESIZE)) * 8;
+    rec.beginPacket();
+    for (int pass = 0; pass < 2; pass++) {
+        rec.onMemAccess({boundary - 4, 4, false, MemRegion::Data});
+        rec.onMemAccess({boundary, 4, true, MemRegion::Data});
+    }
+    rec.endPacket();
+    EXPECT_EQ(rec.dataMemoryBytes(), 8u);
 }
 
 } // namespace
