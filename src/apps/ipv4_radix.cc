@@ -25,13 +25,13 @@ namespace pb::apps
 {
 
 Ipv4RadixApp::Ipv4RadixApp(std::vector<route::RouteEntry> entries)
-    : table(entries)
+    : table(entries, appDataBase)
 {}
 
 isa::Program
 Ipv4RadixApp::setup(sim::Memory &mem)
 {
-    std::vector<uint32_t> image = table.packImage(appDataBase);
+    const std::vector<uint32_t> &image = table.image();
     if (image.size() * 4 > sim::layout::dataSize / 2)
         fatal("radix image too large for the data region");
     mem.writeWords(appDataBase, image.data(),

@@ -315,9 +315,9 @@ MultiCoreBench::runParallel(net::TraceSource &source,
             net::hashPacketBatch(ptrs, count, hash, valid);
         }
         hash_batches_ctr.add(1);
+        packets_ctr.add(count);
         for (unsigned i = 0; i < count; i++) {
             uint32_t e = placeByHash(valid[i], hash[i]);
-            packets_ctr.add(1);
             pending[e].push_back(std::move(staged[i]));
             if (pending[e].size() >= batch_size) {
                 push_batch(e);

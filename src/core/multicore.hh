@@ -38,8 +38,12 @@
 namespace pb::core
 {
 
-/** Per-engine totals after a multi-engine run. */
-struct EngineLoad
+/**
+ * Per-engine totals after a multi-engine run.  Each parallel worker
+ * updates its engine's entry on every packet, so an entry fills a
+ * whole cache line: no two engines write the same line.
+ */
+struct alignas(64) EngineLoad
 {
     uint64_t packets = 0;
     uint64_t instructions = 0;

@@ -71,10 +71,89 @@ struct ScopedObserver
     }
 };
 
+/** @p num / @p den, 0 while @p den is 0. */
+double
+ratio(double num, uint64_t den)
+{
+    return den ? num / static_cast<double>(den) : 0.0;
+}
+
+/**
+ * The gauges computed from the engines' summed cells at snapshot
+ * time.  Re-registering on every engine's construction is harmless:
+ * the functions only capture registry-owned counters.
+ */
+void
+deriveGauges(obs::Registry &reg, bool uarch)
+{
+    obs::Counter &insts = reg.counter("pb.insts");
+    obs::Counter &sim_ns = reg.counter("phase.simulate_ns");
+    obs::Counter &blocks = reg.counter("sim.interp.blocks");
+    obs::Counter &interp_insts = reg.counter("sim.interp.insts");
+    reg.derive("pb.sim_mips", [&insts, &sim_ns] {
+        return ratio(1e3 * static_cast<double>(insts.value()),
+                     sim_ns.value());
+    });
+    reg.derive("sim.interp.block_len", [&interp_insts, &blocks] {
+        return ratio(static_cast<double>(interp_insts.value()),
+                     blocks.value());
+    });
+    if (!uarch)
+        return;
+    auto miss_rate = [&reg](const char *rate, const char *hits,
+                            const char *misses) {
+        obs::Counter &h = reg.counter(hits);
+        obs::Counter &m = reg.counter(misses);
+        reg.derive(rate, [&h, &m] {
+            uint64_t miss = m.value();
+            return ratio(static_cast<double>(miss), h.value() + miss);
+        });
+    };
+    miss_rate("uarch.icache.miss_rate", "uarch.icache.hits",
+              "uarch.icache.misses");
+    miss_rate("uarch.dcache.miss_rate", "uarch.dcache.hits",
+              "uarch.dcache.misses");
+    obs::Counter &lookups = reg.counter("uarch.branch.lookups");
+    obs::Counter &mispredicts = reg.counter("uarch.branch.mispredicts");
+    reg.derive("uarch.branch.mispredict_rate", [&lookups, &mispredicts] {
+        return ratio(static_cast<double>(mispredicts.value()),
+                     lookups.value());
+    });
+}
+
 } // namespace
 
+PacketBench::UarchCells::UarchCells(obs::Registry &reg)
+    : icacheHits(reg.counter("uarch.icache.hits")),
+      icacheMisses(reg.counter("uarch.icache.misses")),
+      dcacheHits(reg.counter("uarch.dcache.hits")),
+      dcacheMisses(reg.counter("uarch.dcache.misses")),
+      branchLookups(reg.counter("uarch.branch.lookups")),
+      branchMispredicts(reg.counter("uarch.branch.mispredicts"))
+{
+}
+
+PacketBench::EngineCells::EngineCells(obs::Registry &reg,
+                                      const BenchConfig &cfg)
+    : packets(reg.counter("pb.packets")),
+      insts(reg.counter("pb.insts")),
+      sent(reg.counter("pb.sent")),
+      dropped(reg.counter("pb.dropped")),
+      simNs(reg.counter("phase.simulate_ns")),
+      interpBlocks(reg.counter("sim.interp.blocks")),
+      interpInsts(reg.counter("sim.interp.insts")),
+      instsPerPacket(reg.histogram("pb.insts_per_packet")),
+      uniqueInstsPerPacket(reg.histogram("pb.unique_insts_per_packet"))
+{
+    if (cfg.timing)
+        cyclesPerPacket.emplace(reg.histogram("pb.cycles_per_packet"));
+    if (cfg.microArch)
+        uarch.emplace(reg);
+}
+
 PacketBench::PacketBench(Application &app_, BenchConfig cfg_)
-    : app(app_), cpu(mem), scrambler(cfg_.scrambleKey)
+    : app(app_), cpu(mem), scrambler(cfg_.scrambleKey),
+      cells(obs::defaultRegistry(), cfg_)
 {
     cfg = cfg_;
     cpu.setDispatchMode(cfg.dispatch);
@@ -106,37 +185,12 @@ PacketBench::PacketBench(Application &app_, BenchConfig cfg_)
     }
 
     obs::Registry &reg = obs::defaultRegistry();
-    packetsCtr = &reg.counter("pb.packets");
-    instsCtr = &reg.counter("pb.insts");
-    sentCtr = &reg.counter("pb.sent");
-    droppedCtr = &reg.counter("pb.dropped");
     faultsTotalCtr = &reg.counter("pb.faults.total");
     faultsMalformedCtr = &reg.counter("pb.faults.malformed");
     faultsSimCtr = &reg.counter("pb.faults.sim");
     faultsBudgetCtr = &reg.counter("pb.faults.budget");
     faultsQuarantinedCtr = &reg.counter("pb.faults.quarantined");
-    simNsCtr = &reg.counter("phase.simulate_ns");
-    mipsGauge = &reg.gauge("pb.sim_mips");
-    interpMipsGauge = &reg.gauge("sim.interp.mips");
-    interpBlocksGauge = &reg.gauge("sim.interp.blocks");
-    interpBlockLenGauge = &reg.gauge("sim.interp.block_len");
-    instHist = &reg.histogram("pb.insts_per_packet");
-    uniqueHist = &reg.histogram("pb.unique_insts_per_packet");
-    if (cfg.timing)
-        cycleHist = &reg.histogram("pb.cycles_per_packet");
-    if (cfg.microArch) {
-        uarchIcacheHitsCtr = &reg.counter("uarch.icache.hits");
-        uarchIcacheMissesCtr = &reg.counter("uarch.icache.misses");
-        uarchDcacheHitsCtr = &reg.counter("uarch.dcache.hits");
-        uarchDcacheMissesCtr = &reg.counter("uarch.dcache.misses");
-        uarchBranchLookupsCtr = &reg.counter("uarch.branch.lookups");
-        uarchBranchMispredictsCtr =
-            &reg.counter("uarch.branch.mispredicts");
-        uarchIcacheRateGauge = &reg.gauge("uarch.icache.miss_rate");
-        uarchDcacheRateGauge = &reg.gauge("uarch.dcache.miss_rate");
-        uarchBranchRateGauge =
-            &reg.gauge("uarch.branch.mispredict_rate");
-    }
+    deriveGauges(reg, cfg.microArch);
     reg.gauge("pb.static_blocks")
         .set(static_cast<double>(blockMap->numBlocks()));
     reg.gauge("pb.program_bytes")
@@ -166,44 +220,33 @@ PacketBench::publishUarchMetrics()
     now.branchLookups = uarch->predictor().lookups();
     now.branchMispredicts = uarch->predictor().mispredicts();
 
-    // The models count cumulatively; publish deltas so the global
+    // The models count cumulatively; publish deltas so the summed
     // counters stay correct with several PacketBench instances.
-    uarchIcacheHitsCtr->add(
-        (now.icacheAccesses - prevUarch.icacheAccesses) -
-        (now.icacheMisses - prevUarch.icacheMisses));
-    uarchIcacheMissesCtr->add(now.icacheMisses -
-                              prevUarch.icacheMisses);
-    uarchDcacheHitsCtr->add(
-        (now.dcacheAccesses - prevUarch.dcacheAccesses) -
-        (now.dcacheMisses - prevUarch.dcacheMisses));
-    uarchDcacheMissesCtr->add(now.dcacheMisses -
-                              prevUarch.dcacheMisses);
-    uarchBranchLookupsCtr->add(now.branchLookups -
-                               prevUarch.branchLookups);
-    uarchBranchMispredictsCtr->add(now.branchMispredicts -
-                                   prevUarch.branchMispredicts);
+    UarchCells &u = *cells.uarch;
+    u.icacheHits.add((now.icacheAccesses - prevUarch.icacheAccesses) -
+                     (now.icacheMisses - prevUarch.icacheMisses));
+    u.icacheMisses.add(now.icacheMisses - prevUarch.icacheMisses);
+    u.dcacheHits.add((now.dcacheAccesses - prevUarch.dcacheAccesses) -
+                     (now.dcacheMisses - prevUarch.dcacheMisses));
+    u.dcacheMisses.add(now.dcacheMisses - prevUarch.dcacheMisses);
+    u.branchLookups.add(now.branchLookups - prevUarch.branchLookups);
+    u.branchMispredicts.add(now.branchMispredicts -
+                            prevUarch.branchMispredicts);
     prevUarch = now;
-
-    uarchIcacheRateGauge->set(uarch->icache().missRate());
-    uarchDcacheRateGauge->set(uarch->dcache().missRate());
-    uarchBranchRateGauge->set(uarch->predictor().mispredictRate());
 }
 
 void
 PacketBench::publishInterpMetrics()
 {
-    // Interpreter-level view of the same run: simulated MIPS plus the
-    // block-stepped loop's shape (straight-line runs entered and mean
-    // instructions per run).  blocks stays 0 in Reference mode.
-    if (mySimNs > 0)
-        interpMipsGauge->set(static_cast<double>(myInsts) * 1e3 /
-                             static_cast<double>(mySimNs));
+    // The block-stepped loop's shape: straight-line runs entered and
+    // the instructions they covered (blocks stays 0 in Reference
+    // mode).  The CPU counts over its lifetime; publish the deltas.
     uint64_t blocks = cpu.totalBlockCount();
-    interpBlocksGauge->set(static_cast<double>(blocks));
-    interpBlockLenGauge->set(
-        blocks ? static_cast<double>(cpu.totalInstCount()) /
-                     static_cast<double>(blocks)
-               : 0.0);
+    uint64_t insts = cpu.totalInstCount();
+    cells.interpBlocks.add(blocks - publishedInterpBlocks);
+    cells.interpInsts.add(insts - publishedInterpInsts);
+    publishedInterpBlocks = blocks;
+    publishedInterpInsts = insts;
 }
 
 PacketOutcome
@@ -225,9 +268,9 @@ PacketBench::recordFault(const net::Packet &capture, FaultKind kind,
     // handler did counts as instructions and simulation time), but it
     // is neither sent nor dropped and stays out of the per-packet
     // histograms that characterize the workload.
-    packetsCtr->add(1);
-    instsCtr->add(outcome.stats.instCount);
-    simNsCtr->add(sim_ns);
+    cells.packets.add(1);
+    cells.insts.add(outcome.stats.instCount);
+    cells.simNs.add(sim_ns);
     faultsTotalCtr->add(1);
     switch (kind) {
       case FaultKind::MalformedPacket:
@@ -242,11 +285,6 @@ PacketBench::recordFault(const net::Packet &capture, FaultKind kind,
       case FaultKind::None:
         break;
     }
-    myInsts += outcome.stats.instCount;
-    mySimNs += sim_ns;
-    if (mySimNs > 0)
-        mipsGauge->set(static_cast<double>(myInsts) * 1e3 /
-                       static_cast<double>(mySimNs));
     publishInterpMetrics();
     if (uarch)
         publishUarchMetrics();
@@ -407,21 +445,16 @@ PacketBench::processPacket(net::Packet &packet)
                             : "drop");
     packetCount++;
 
-    // Publish this packet into the run-wide telemetry.
-    packetsCtr->add(1);
-    instsCtr->add(outcome.stats.instCount);
-    (outcome.verdict == isa::SysCode::Send ? sentCtr : droppedCtr)
-        ->add(1);
-    simNsCtr->add(sim_ns);
-    instHist->observe(outcome.stats.instCount);
-    uniqueHist->observe(outcome.stats.uniqueInstCount);
-    if (cycleHist)
-        cycleHist->observe(outcome.cycles);
-    myInsts += outcome.stats.instCount;
-    mySimNs += sim_ns;
-    if (mySimNs > 0)
-        mipsGauge->set(static_cast<double>(myInsts) * 1e3 /
-                       static_cast<double>(mySimNs));
+    // Publish this packet into this engine's metric cells.
+    cells.packets.add(1);
+    cells.insts.add(outcome.stats.instCount);
+    (outcome.verdict == isa::SysCode::Send ? cells.sent : cells.dropped)
+        .add(1);
+    cells.simNs.add(sim_ns);
+    cells.instsPerPacket.observe(outcome.stats.instCount);
+    cells.uniqueInstsPerPacket.observe(outcome.stats.uniqueInstCount);
+    if (cells.cyclesPerPacket)
+        cells.cyclesPerPacket->observe(outcome.cycles);
     publishInterpMetrics();
     if (uarch)
         publishUarchMetrics();
@@ -502,10 +535,9 @@ PacketBench::run(net::TraceSource &source, uint32_t max_packets,
                app.name().c_str(),
                static_cast<unsigned long long>(packetCount),
                now_pps, avg_pps,
-               static_cast<unsigned long long>(myInsts),
-               mySimNs ? static_cast<double>(myInsts) * 1e3 /
-                             static_cast<double>(mySimNs)
-                       : 0.0,
+               static_cast<unsigned long long>(cells.insts.value()),
+               ratio(1e3 * static_cast<double>(cells.insts.value()),
+                     cells.simNs.value()),
                static_cast<unsigned long long>(
                    faultsTotalCtr->value()));
         beat_at = now;

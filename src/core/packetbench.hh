@@ -18,6 +18,7 @@
 #define PB_CORE_PACKETBENCH_HH
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/app.hh"
@@ -294,44 +295,44 @@ class PacketBench
     void publishUarchMetrics();
     void publishInterpMetrics();
 
-    obs::Counter *packetsCtr;
-    obs::Counter *instsCtr;
-    obs::Counter *sentCtr;
-    obs::Counter *droppedCtr;
+    /** uarch.* counter shares (only with cfg.microArch). */
+    struct UarchCells
+    {
+        explicit UarchCells(obs::Registry &reg);
+        obs::Counter::Cell icacheHits, icacheMisses;
+        obs::Counter::Cell dcacheHits, dcacheMisses;
+        obs::Counter::Cell branchLookups, branchMispredicts;
+    };
+
+    /**
+     * This engine's single-writer shares of every metric the packet
+     * path updates.  The block starts and ends on cache-line
+     * boundaries, so no other engine writes a line it occupies and
+     * a packet's metric updates are plain loads and stores.  Readers
+     * sum all engines' cells; the rates and ratios built from them
+     * (pb.sim_mips, sim.interp.block_len, uarch.*_rate) are derived
+     * gauges computed when a snapshot is taken.
+     */
+    struct alignas(64) EngineCells
+    {
+        EngineCells(obs::Registry &reg, const BenchConfig &cfg);
+        obs::Counter::Cell packets, insts, sent, dropped, simNs;
+        obs::Counter::Cell interpBlocks, interpInsts;
+        obs::Histogram::Cell instsPerPacket, uniqueInstsPerPacket;
+        std::optional<obs::Histogram::Cell> cyclesPerPacket;
+        std::optional<UarchCells> uarch;
+    } cells;
+
+    /** Rare-event counters (faults), shared by all engines. */
     obs::Counter *faultsTotalCtr;
     obs::Counter *faultsMalformedCtr;
     obs::Counter *faultsSimCtr;
     obs::Counter *faultsBudgetCtr;
     obs::Counter *faultsQuarantinedCtr;
-    obs::Counter *simNsCtr;
-    obs::Gauge *mipsGauge;
-    obs::Gauge *interpMipsGauge;
-    obs::Gauge *interpBlocksGauge;
-    obs::Gauge *interpBlockLenGauge;
-    obs::Histogram *instHist;
-    obs::Histogram *uniqueHist;
-    obs::Histogram *cycleHist = nullptr;
 
-    /**
-     * Cached uarch metric references, resolved at construction like
-     * the pb.* counters above (non-null only when cfg.microArch).
-     * Per-instance members, not function-local statics: a static
-     * would be shared across instances and would dangle if a test
-     * ever swapped the default registry.
-     */
-    obs::Counter *uarchIcacheHitsCtr = nullptr;
-    obs::Counter *uarchIcacheMissesCtr = nullptr;
-    obs::Counter *uarchDcacheHitsCtr = nullptr;
-    obs::Counter *uarchDcacheMissesCtr = nullptr;
-    obs::Counter *uarchBranchLookupsCtr = nullptr;
-    obs::Counter *uarchBranchMispredictsCtr = nullptr;
-    obs::Gauge *uarchIcacheRateGauge = nullptr;
-    obs::Gauge *uarchDcacheRateGauge = nullptr;
-    obs::Gauge *uarchBranchRateGauge = nullptr;
-
-    /** This instance's share (the counters are process-global). */
-    uint64_t myInsts = 0;
-    uint64_t mySimNs = 0;
+    /** Interpreter lifetime totals already added to the cells. */
+    uint64_t publishedInterpBlocks = 0;
+    uint64_t publishedInterpInsts = 0;
 
     /** Last published uarch totals, for delta publishing. */
     struct UarchSnapshot

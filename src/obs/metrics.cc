@@ -5,6 +5,7 @@
 
 #include "metrics.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <fstream>
@@ -47,6 +48,40 @@ bucketOf(uint64_t sample)
 
 } // namespace
 
+uint64_t
+Counter::value() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    uint64_t total = value_.load(std::memory_order_relaxed);
+    for (const Cell *cell : cells)
+        total += cell->value();
+    return total;
+}
+
+void
+Counter::reset()
+{
+    std::lock_guard<std::mutex> lock(mu);
+    value_.store(0, std::memory_order_relaxed);
+    for (Cell *cell : cells)
+        cell->v.store(0, std::memory_order_relaxed);
+}
+
+Counter::Cell::Cell(Counter &counter) : parent(counter)
+{
+    std::lock_guard<std::mutex> lock(parent.mu);
+    parent.cells.push_back(this);
+}
+
+Counter::Cell::~Cell()
+{
+    // Fold and unlink under one lock: a concurrent value() sees the
+    // share either in the cell or in the total, never both or neither.
+    std::lock_guard<std::mutex> lock(parent.mu);
+    parent.value_.fetch_add(value(), std::memory_order_relaxed);
+    std::erase(parent.cells, this);
+}
+
 void
 Histogram::observe(uint64_t sample)
 {
@@ -58,6 +93,71 @@ Histogram::observe(uint64_t sample)
     count++;
     sum += sample;
     buckets[bucketOf(sample)]++;
+}
+
+Histogram::Cell::Cell(Histogram &histogram) : parent(histogram)
+{
+    std::lock_guard<std::mutex> lock(parent.mu);
+    parent.cells.push_back(this);
+}
+
+Histogram::Cell::~Cell()
+{
+    std::lock_guard<std::mutex> lock(parent.mu);
+    parent.merge(*this);
+    std::erase(parent.cells, this);
+}
+
+void
+Histogram::Cell::observe(uint64_t sample)
+{
+    // The cell keeps no count: readers sum the buckets, so a snapshot
+    // racing this update can never report more samples than buckets.
+    if (sample < min.load(std::memory_order_relaxed))
+        min.store(sample, std::memory_order_relaxed);
+    if (sample > max.load(std::memory_order_relaxed))
+        max.store(sample, std::memory_order_relaxed);
+    ownerAdd(sum, sample);
+    ownerAdd(buckets[bucketOf(sample)], 1);
+}
+
+void
+Histogram::merge(const Cell &cell)
+{
+    uint64_t n = 0;
+    for (size_t i = 0; i < numBuckets; i++) {
+        uint64_t b = cell.buckets[i].load(std::memory_order_relaxed);
+        buckets[i] += b;
+        n += b;
+    }
+    if (n == 0)
+        return;
+    uint64_t mn = cell.min.load(std::memory_order_relaxed);
+    uint64_t mx = cell.max.load(std::memory_order_relaxed);
+    // A reader racing the cell's first observe() may see a bucket
+    // before min; min then waits for the next snapshot.
+    if (mn != UINT64_MAX && (count == 0 || mn < min))
+        min = mn;
+    if (mx > max)
+        max = mx;
+    count += n;
+    sum += cell.sum.load(std::memory_order_relaxed);
+}
+
+void
+Histogram::reset()
+{
+    std::lock_guard<std::mutex> lock(mu);
+    count = sum = min = max = 0;
+    for (auto &bucket : buckets)
+        bucket = 0;
+    for (Cell *cell : cells) {
+        cell->sum.store(0, std::memory_order_relaxed);
+        cell->min.store(UINT64_MAX, std::memory_order_relaxed);
+        cell->max.store(0, std::memory_order_relaxed);
+        for (auto &bucket : cell->buckets)
+            bucket.store(0, std::memory_order_relaxed);
+    }
 }
 
 size_t
@@ -99,18 +199,30 @@ Histogram::Snapshot::quantile(double q) const
 Histogram::Snapshot
 Histogram::snapshot() const
 {
-    std::lock_guard<std::mutex> lock(mu);
+    // Merge into a copy of the folded state; the live cells stay as
+    // they are.
+    Histogram merged;
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        merged.count = count;
+        merged.sum = sum;
+        merged.min = min;
+        merged.max = max;
+        std::copy(buckets, buckets + numBuckets, merged.buckets);
+        for (const Cell *cell : cells)
+            merged.merge(*cell);
+    }
     Snapshot snap;
-    snap.count = count;
-    snap.sum = sum;
-    snap.min = min;
-    snap.max = max;
+    snap.count = merged.count;
+    snap.sum = merged.sum;
+    snap.min = merged.min;
+    snap.max = merged.max;
     size_t last = 0;
     for (size_t i = 0; i < numBuckets; i++) {
-        if (buckets[i])
+        if (merged.buckets[i])
             last = i + 1;
     }
-    snap.buckets.assign(buckets, buckets + last);
+    snap.buckets.assign(merged.buckets, merged.buckets + last);
     return snap;
 }
 
@@ -159,6 +271,14 @@ Registry::histogram(const std::string &name)
     return *slot(name, MetricKind::Histogram).h;
 }
 
+void
+Registry::derive(const std::string &name, std::function<double()> fn)
+{
+    Slot &s = slot(name, MetricKind::Gauge);
+    std::lock_guard<std::mutex> lock(mu);
+    s.derived = std::move(fn);
+}
+
 std::vector<Registry::Entry>
 Registry::snapshot() const
 {
@@ -176,7 +296,7 @@ Registry::snapshot() const
             e.counter = s.c->value();
             break;
           case MetricKind::Gauge:
-            e.gauge = s.g->value();
+            e.gauge = s.derived ? s.derived() : s.g->value();
             break;
           case MetricKind::Histogram:
             e.hist = s.h->snapshot();
@@ -201,18 +321,14 @@ Registry::reset()
     for (auto &[name, s] : slots) {
         switch (s.kind) {
           case MetricKind::Counter:
-            s.c->value_.store(0, std::memory_order_relaxed);
+            s.c->reset();
             break;
           case MetricKind::Gauge:
             s.g->value_.store(0.0, std::memory_order_relaxed);
             break;
-          case MetricKind::Histogram: {
-            std::lock_guard<std::mutex> hlock(s.h->mu);
-            s.h->count = s.h->sum = s.h->min = s.h->max = 0;
-            for (auto &bucket : s.h->buckets)
-                bucket = 0;
+          case MetricKind::Histogram:
+            s.h->reset();
             break;
-          }
         }
     }
 }
@@ -274,7 +390,8 @@ constexpr HelpRow helpTable[] = {
      "Faulted packets written to the quarantine trace"},
     {"pb.sim_ns", "Wall nanoseconds spent inside the simulator"},
     {"pb.sim_mips",
-     "Simulated MIPS (instructions per wall microsecond)"},
+     "Simulated MIPS over all engines: pb.insts per microsecond of "
+     "phase.simulate_ns"},
     {"pb.insts_per_packet",
      "Per-packet instruction counts (paper Table 2)"},
     {"pb.unique_insts_per_packet",
@@ -282,9 +399,11 @@ constexpr HelpRow helpTable[] = {
     {"pb.cycles_per_packet", "Modeled pipeline cycles per packet"},
     {"pb.program_bytes", "Loaded NPE32 program size in bytes"},
     {"pb.static_blocks", "Static basic blocks in the loaded program"},
-    {"sim.interp.mips", "Interpreter throughput in simulated MIPS"},
-    {"sim.interp.blocks", "Distinct basic blocks executed"},
-    {"sim.interp.block_len", "Mean executed basic-block length"},
+    {"sim.interp.blocks",
+     "Straight-line runs entered by the block-stepped interpreter"},
+    {"sim.interp.insts", "Instructions of completed interpreter slices"},
+    {"sim.interp.block_len",
+     "Mean instructions per straight-line run (insts / blocks)"},
     {"mc.packets", "Packets dispatched across all engines"},
     {"mc.batches", "Dispatcher-to-worker batch hand-offs"},
     {"mc.engines", "Engines in the multi-core configuration"},

@@ -21,6 +21,16 @@
  * registration takes a lock, so hot paths should resolve a metric
  * once and keep the reference (see PB_COUNTER / PB_SCOPED_TIMER for
  * the cached-static idiom).
+ *
+ * Per-packet metrics written by several engines at once use cells
+ * instead: a Counter::Cell or Histogram::Cell is one engine's
+ * single-writer share of the metric, kept on that engine's own cache
+ * lines, so an update is a relaxed load and store with no lock prefix
+ * and no mutex.  Readers (value(), snapshot()) sum the live cells on
+ * demand; a destroyed cell folds its share into the metric.  Values
+ * derived from several metrics (rates, ratios) are registered once as
+ * derived gauges and computed when a snapshot is taken, so every
+ * output reads the same aggregate instead of one engine's last write.
  */
 
 #ifndef PB_OBS_METRICS_HH
@@ -29,6 +39,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <map>
 #include <memory>
@@ -50,25 +61,62 @@ enum class MetricKind
 /** Kind name for reports ("counter", "gauge", "histogram"). */
 const char *metricKindName(MetricKind kind);
 
+/** Add @p n to an atomic only its owner thread writes (no RMW). */
+inline void
+ownerAdd(std::atomic<uint64_t> &v, uint64_t n)
+{
+    v.store(v.load(std::memory_order_relaxed) + n,
+            std::memory_order_relaxed);
+}
+
 /** Monotonically increasing event count. */
 class Counter
 {
   public:
+    /**
+     * One writer's share of a counter.  add() is a relaxed load and
+     * store on the cell's own storage; place cells of different
+     * writers on different cache lines.  Exactly one thread may
+     * add() at a time (successive owners ordered by a join or
+     * hand-off are fine); any thread may read the counter meanwhile.
+     * Destroying the cell folds its share into the counter, so the
+     * total never moves backwards or counts a share twice.
+     */
+    class Cell
+    {
+      public:
+        explicit Cell(Counter &counter);
+        ~Cell();
+        Cell(const Cell &) = delete;
+        Cell &operator=(const Cell &) = delete;
+
+        void add(uint64_t n = 1) { ownerAdd(v, n); }
+
+        /** This cell's share alone. */
+        uint64_t value() const { return v.load(std::memory_order_relaxed); }
+
+      private:
+        friend class Counter;
+        Counter &parent;
+        std::atomic<uint64_t> v{0};
+    };
+
     void
     add(uint64_t n = 1)
     {
         value_.fetch_add(n, std::memory_order_relaxed);
     }
 
-    uint64_t
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
+    /** Folded total plus every live cell's share. */
+    uint64_t value() const;
 
   private:
     friend class Registry;
+    void reset();
+
     std::atomic<uint64_t> value_{0};
+    mutable std::mutex mu; ///< guards cells (and folding into value_)
+    std::vector<Cell *> cells;
 };
 
 /** Last-written instantaneous value (rates, sizes, ratios). */
@@ -110,8 +158,33 @@ class Histogram
   public:
     static constexpr size_t numBuckets = 66;
 
-    /** Record one sample. */
+    /** Record one sample (takes the histogram's mutex). */
     void observe(uint64_t sample);
+
+    /**
+     * One writer's share of a histogram, with Counter::Cell's
+     * contract: observe() is relaxed loads and stores on the cell's
+     * own storage, snapshot() merges the live cells, and the
+     * destructor folds the cell into the histogram.
+     */
+    class Cell
+    {
+      public:
+        explicit Cell(Histogram &histogram);
+        ~Cell();
+        Cell(const Cell &) = delete;
+        Cell &operator=(const Cell &) = delete;
+
+        void observe(uint64_t sample);
+
+      private:
+        friend class Histogram;
+        Histogram &parent;
+        std::atomic<uint64_t> sum{0};
+        std::atomic<uint64_t> min{UINT64_MAX}; ///< UINT64_MAX while empty
+        std::atomic<uint64_t> max{0};
+        std::atomic<uint64_t> buckets[numBuckets]{};
+    };
 
     /** Point-in-time copy of the distribution. */
     struct Snapshot
@@ -150,12 +223,17 @@ class Histogram
 
   private:
     friend class Registry;
+    void reset();
+    /** Add one cell's current share into the folded totals (mu held). */
+    void merge(const Cell &cell);
+
     mutable std::mutex mu;
     uint64_t count = 0;
     uint64_t sum = 0;
     uint64_t min = 0;
     uint64_t max = 0;
     uint64_t buckets[numBuckets] = {};
+    std::vector<Cell *> cells;
 };
 
 /**
@@ -173,6 +251,16 @@ class Registry
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
     Histogram &histogram(const std::string &name);
+
+    /**
+     * Make gauge @p name derived: every snapshot (and so every
+     * report, Prometheus exposition and stats-pump rewrite) computes
+     * it by calling @p fn, instead of reading the last set() value.
+     * Re-deriving replaces the function.  @p fn runs under the
+     * registry lock, so it must not look metrics up by name; capture
+     * the metric references it reads.
+     */
+    void derive(const std::string &name, std::function<double()> fn);
 
     /** One metric in a snapshot; only the matching field is valid. */
     struct Entry
@@ -200,7 +288,11 @@ class Registry
     /** Number of registered metrics. */
     size_t size() const;
 
-    /** Zero every value, keeping all registrations (test hook). */
+    /**
+     * Zero every value and every live cell, keeping all
+     * registrations and derivations (test hook; writers must be
+     * quiescent, or a cell's concurrent add may undo its reset).
+     */
     void reset();
 
   private:
@@ -210,6 +302,7 @@ class Registry
         std::unique_ptr<Counter> c;
         std::unique_ptr<Gauge> g;
         std::unique_ptr<Histogram> h;
+        std::function<double()> derived; ///< derived gauges only
     };
 
     Slot &slot(const std::string &name, MetricKind kind);

@@ -122,10 +122,14 @@ struct EngineTelemetry
     WindowedRate faults;
     WindowedHistogram instsPerPacket;
 
-    /** Dispatcher queue occupancy in batches (parallel runs). */
-    std::atomic<uint64_t> queueDepth{0};
+    /**
+     * Dispatcher queue occupancy in batches (parallel runs).  The
+     * dispatcher writes it, not the engine, so it sits on a cache
+     * line of its own, apart from the engine-written state.
+     */
+    alignas(64) std::atomic<uint64_t> queueDepth{0};
 
-    FlowTopK topk;
+    alignas(64) FlowTopK topk;
 
     /**
      * Windowed per-packet accounting — called by PacketBench for

@@ -22,9 +22,15 @@
  * obs layer sits below net in the library graph, so the tuple is
  * mirrored here as a plain FlowId rather than a net::FiveTuple.
  *
+ * Cost: the table is a binary min-heap on the packet estimate over a
+ * fixed open-addressing key index, both sized once at construction.
+ * A hit or an eviction is one index probe plus an O(log capacity)
+ * sift; no packet allocates.  Fresh-flow traffic misses on almost
+ * every packet, so eviction must not scan the table.
+ *
  * Threading: observe() is called by the owning engine's worker
  * thread, top() by the stats pump; a plain mutex guards the table.
- * The per-packet cost is an uncontended lock plus one hash lookup
+ * The per-packet cost is an uncontended lock plus the work above
  * (the pump takes the lock a few times per second for a copy of at
  * most `capacity` entries), and callers gate observe() behind
  * statsEnabled() so the disabled path costs one relaxed load.
@@ -36,7 +42,6 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace pb::obs
@@ -92,10 +97,28 @@ class FlowTopK
     void reset();
 
   private:
+    static constexpr uint32_t noEntry = UINT32_MAX;
+
+    /** Index slot of @p key, or of the empty slot ending its probe. */
+    uint32_t probe(uint64_t key) const;
+    /** Remove @p key from the index (backward-shift deletion). */
+    void unindex(uint64_t key);
+    /** Heap slot @p at now holds entries[@p entry]. */
+    void place(uint32_t at, uint32_t entry);
+    /** Restore the heap below heap[@p at] after its count grew. */
+    void siftDown(uint32_t at);
+
     const uint32_t cap;
     mutable std::mutex mu;
-    std::vector<Entry> entries;
-    std::unordered_map<uint64_t, size_t> index; ///< key -> entries[]
+    std::vector<Entry> entries; ///< tracked flows, in arrival order
+    /**
+     * entries[] indices as a binary min-heap on packets, so
+     * entries[heap[0]] is a minimum entry; heapPos inverts heap.
+     */
+    std::vector<uint32_t> heap, heapPos;
+    /** Linear-probing key -> entries[] index (noEntry = empty). */
+    std::vector<uint32_t> index;
+    uint32_t indexMask = 0;
     uint64_t observed = 0;
 };
 

@@ -55,8 +55,9 @@ WindowedRate::add(uint64_t n, uint64_t now_ns)
     Bucket &b = buckets[slot % numBuckets];
     if (b.slot.load(std::memory_order_relaxed) != slot)
         rotateTo(slot);
-    b.count.fetch_add(n, std::memory_order_relaxed);
-    total_.fetch_add(n, std::memory_order_relaxed);
+    // Single writer: plain load-then-store updates, no lock prefix.
+    ownerAdd(b.count, n);
+    ownerAdd(total_, n);
 }
 
 uint64_t
@@ -135,9 +136,8 @@ WindowedHistogram::observe(uint64_t sample, uint64_t now_ns)
     if (sample > s.max.load(std::memory_order_relaxed))
         s.max.store(sample, std::memory_order_relaxed);
     s.count.store(count + 1, std::memory_order_relaxed);
-    s.sum.fetch_add(sample, std::memory_order_relaxed);
-    s.buckets[Histogram::bucketIndex(sample)].fetch_add(
-        1, std::memory_order_relaxed);
+    ownerAdd(s.sum, sample);
+    ownerAdd(s.buckets[Histogram::bucketIndex(sample)], 1);
 }
 
 Histogram::Snapshot

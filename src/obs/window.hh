@@ -9,7 +9,7 @@
  * and the run heartbeat need.  Both classes here follow the same
  * scheme: wall time is divided into fixed sub-window buckets arranged
  * in a ring, an update lands in the bucket covering its timestamp
- * (O(1): one division plus a few relaxed atomic adds), and a reader
+ * (O(1): one division plus a few relaxed loads and stores), and a reader
  * aggregates exactly the buckets whose time slot still falls inside
  * the sliding window — so idle periods age out without any timer
  * thread touching the estimator.
@@ -17,8 +17,10 @@
  * Threading contract: one writer at a time (the owning engine's
  * thread; successive owners are fine when a join/handoff orders
  * them), any number of concurrent readers (the stats pump).  Every
- * mutable field is an atomic accessed with relaxed
- * ordering, so concurrent snapshots are data-race-free under TSan;
+ * mutable field is an atomic accessed with relaxed ordering, and the
+ * writer updates it by load and store (obs::ownerAdd), never by a
+ * locked read-modify-write, so concurrent snapshots are
+ * data-race-free under TSan and an update costs no bus lock;
  * a sequence counter (even = stable, odd = bucket rotation in
  * progress) lets readers retry across the only multi-field update.
  * Readers give up after a bounded number of retries and return the

@@ -11,69 +11,63 @@
 namespace pb::route
 {
 
-RadixTable::RadixTable(const std::vector<RouteEntry> &entries)
+RadixTable::RadixTable(const std::vector<RouteEntry> &entries,
+                       uint32_t base_addr)
+    : base(base_addr)
 {
-    nodes.push_back(Node{}); // root
+    using namespace radixlayout;
+    // A prefix of length len adds at most len nodes.  Reserving that
+    // bound means the build never reallocates; the bound may be
+    // several times the final size, but the pages past the last node
+    // are never written, so they are never resident.
+    size_t max_nodes = 1;
+    for (const auto &entry : entries)
+        max_nodes += entry.len;
+    words.reserve(max_nodes * wordsPerNode);
+    words.resize(wordsPerNode, 0); // root, at base_addr
 
     for (const auto &entry : entries) {
         if (entry.len > 32)
             fatal("radix: prefix length %u out of range", entry.len);
         if ((entry.prefix & ~prefixMask(entry.len)) != 0)
             fatal("radix: prefix has bits below its mask");
-        int32_t at = 0;
+        size_t at = 0;
         for (unsigned depth = 0; depth < entry.len; depth++) {
             bool right = bit(entry.prefix, 31 - depth) != 0;
-            int32_t &child = right ? nodes[at].right : nodes[at].left;
-            if (child < 0) {
-                child = static_cast<int32_t>(nodes.size());
-                // NOTE: `child` may dangle after push_back; re-read.
-                int32_t fresh = child;
-                nodes.push_back(Node{});
-                at = fresh;
-            } else {
-                at = child;
+            size_t link = at + (right ? offRight : offLeft) / 4;
+            if (words[link] == 0) {
+                // The root is never a child, so address 0 (a root at
+                // base 0) can still mean "no child".
+                words[link] = base + static_cast<uint32_t>(
+                                         words.size() / wordsPerNode *
+                                         nodeSize);
+                words.resize(words.size() + wordsPerNode, 0);
             }
+            at = wordOf(words[link]);
         }
-        nodes[at].hasRoute = true;
-        nodes[at].nextHop = entry.nextHop;
+        words[at + offValid / 4] = 1;
+        words[at + offNextHop / 4] = entry.nextHop;
     }
 }
 
 uint32_t
 RadixTable::lookup(uint32_t addr) const
 {
+    using namespace radixlayout;
     uint32_t best = noRoute;
-    int32_t at = 0;
-    unsigned depth = 0;
-    while (at >= 0) {
-        const Node &node = nodes[at];
-        if (node.hasRoute)
-            best = node.nextHop;
+    size_t at = 0;
+    for (unsigned depth = 0;; depth++) {
+        if (words[at + offValid / 4])
+            best = words[at + offNextHop / 4];
         if (depth >= 32)
             break;
-        at = bit(addr, 31 - depth) ? node.right : node.left;
-        depth++;
+        uint32_t child =
+            words[at + (bit(addr, 31 - depth) ? offRight : offLeft) / 4];
+        if (child == 0)
+            break;
+        at = wordOf(child);
     }
     return best;
-}
-
-std::vector<uint32_t>
-RadixTable::packImage(uint32_t base_addr) const
-{
-    using namespace radixlayout;
-    std::vector<uint32_t> words(nodes.size() * (nodeSize / 4), 0);
-    auto addr_of = [&](int32_t idx) -> uint32_t {
-        return idx < 0 ? 0
-                       : base_addr + static_cast<uint32_t>(idx) * nodeSize;
-    };
-    for (size_t i = 0; i < nodes.size(); i++) {
-        size_t w = i * (nodeSize / 4);
-        words[w + offLeft / 4] = addr_of(nodes[i].left);
-        words[w + offRight / 4] = addr_of(nodes[i].right);
-        words[w + offValid / 4] = nodes[i].hasRoute ? 1 : 0;
-        words[w + offNextHop / 4] = nodes[i].nextHop;
-    }
-    return words;
 }
 
 } // namespace pb::route

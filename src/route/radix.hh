@@ -11,9 +11,10 @@
  * implementation against the compressed LC-trie, and the per-packet
  * cost of the radix workload comes from walking one node per bit.)
  *
- * The same node layout is used host-side (index arena) and inside
- * simulated memory (packed image), so the host lookup is a
- * bit-exact reference for the NPE32 application.
+ * The table is stored as its simulated-memory image: the host
+ * lookup walks the same packed words the NPE32 application reads,
+ * so it is a bit-exact reference, and set-up writes the image into
+ * simulated memory without building a second copy.
  *
  * Simulated node layout (16 bytes, word-aligned):
  *   +0  left child address  (0 = none)
@@ -50,34 +51,35 @@ constexpr uint32_t nodeSize = 16;
 class RadixTable
 {
   public:
-    /** Build the trie from @p entries. */
-    explicit RadixTable(const std::vector<RouteEntry> &entries);
+    /**
+     * Build the trie from @p entries as an image whose root node sits
+     * at simulated address @p base_addr (child pointers in the image
+     * are absolute simulated addresses).
+     */
+    explicit RadixTable(const std::vector<RouteEntry> &entries,
+                        uint32_t base_addr = 0);
 
     /** Longest-prefix match; noRoute if nothing matches. */
     uint32_t lookup(uint32_t addr) const;
 
     /** Number of trie nodes. */
-    size_t numNodes() const { return nodes.size(); }
+    size_t numNodes() const { return words.size() / wordsPerNode; }
 
-    /**
-     * Pack the trie into 32-bit words for simulated memory.
-     *
-     * @param base_addr address words[0] will occupy; child pointers
-     *                  in the image are absolute simulated addresses
-     * @return packed words; the root node is at @p base_addr
-     */
-    std::vector<uint32_t> packImage(uint32_t base_addr) const;
+    /** Packed 32-bit image; words[0] belongs at the base address. */
+    const std::vector<uint32_t> &image() const { return words; }
 
   private:
-    struct Node
-    {
-        int32_t left = -1;
-        int32_t right = -1;
-        bool hasRoute = false;
-        uint32_t nextHop = 0;
-    };
+    static constexpr uint32_t wordsPerNode = radixlayout::nodeSize / 4;
 
-    std::vector<Node> nodes;
+    /** Index into words of the node at simulated address @p addr. */
+    size_t
+    wordOf(uint32_t addr) const
+    {
+        return (addr - base) / 4;
+    }
+
+    uint32_t base;
+    std::vector<uint32_t> words;
 };
 
 } // namespace pb::route

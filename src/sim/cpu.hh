@@ -213,8 +213,8 @@ class Cpu
      * Straight-line runs entered by the block-stepped loop over the
      * CPU's lifetime (0 under DispatchMode::Reference).  Like
      * totalInstCount(), accumulated when a slice returns — a slice
-     * that faults contributes nothing.  Feeds the
-     * sim.interp.{blocks,block_len} gauges.
+     * that faults contributes nothing.  Feeds the sim.interp.blocks
+     * counter and the derived sim.interp.block_len gauge.
      */
     uint64_t totalBlockCount() const { return lifetimeBlocks; }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -196,6 +197,53 @@ TEST(MultiCore, ParallelMatchesSerialPerEngine)
         EXPECT_EQ(par_res.totalInstructions,
                   serial_res.totalInstructions);
     }
+}
+
+TEST(MultiCore, DerivedMipsIsAggregateAcrossEngines)
+{
+    // Each engine publishes into its own metric cells; the registry
+    // sums them when read, and pb.sim_mips is computed from the sums
+    // at snapshot time — not the last engine's own rate.
+    obs::Registry &reg = obs::defaultRegistry();
+    const char *const names[] = {"pb.packets", "pb.insts", "pb.sent",
+                                 "pb.dropped"};
+    auto counters = [&] {
+        std::vector<uint64_t> v;
+        for (const char *name : names)
+            v.push_back(reg.counter(name).value());
+        return v;
+    };
+    auto histCount = [&] {
+        return reg.histogram("pb.insts_per_packet").snapshot().count;
+    };
+    std::vector<uint64_t> before = counters();
+    uint64_t hist_before = histCount();
+    MultiCoreBench serial(flowFactory(512), 4);
+    SyntheticTrace serial_trace(Profile::ODU, 3000, 11);
+    serial.run(serial_trace, 3000);
+    std::vector<uint64_t> mid = counters();
+
+    BenchConfig cfg;
+    cfg.parallel = true;
+    MultiCoreBench parallel(flowFactory(512), 4, cfg);
+    SyntheticTrace trace(Profile::ODU, 3000, 11);
+    parallel.run(trace, 3000);
+    std::vector<uint64_t> after = counters();
+    for (size_t i = 0; i < after.size(); i++)
+        EXPECT_EQ(after[i] - mid[i], mid[i] - before[i]) << names[i];
+
+    std::map<std::string, obs::Registry::Entry> snap;
+    for (obs::Registry::Entry &e : reg.snapshot())
+        snap[e.name] = e;
+    uint64_t insts = snap.at("pb.insts").counter;
+    uint64_t sim_ns = snap.at("phase.simulate_ns").counter;
+    ASSERT_GT(sim_ns, 0u);
+    EXPECT_DOUBLE_EQ(snap.at("pb.sim_mips").gauge,
+                     1e3 * static_cast<double>(insts) /
+                         static_cast<double>(sim_ns));
+    EXPECT_EQ(snap.at("pb.insts_per_packet").hist.count - hist_before,
+              after[0] - before[0]);
+    EXPECT_EQ(snap.count("sim.interp.mips"), 0u);
 }
 
 TEST(MultiCore, ParallelPartitionsFlowStateLikeSerial)

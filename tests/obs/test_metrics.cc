@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <sstream>
 #include <thread>
+#include <vector>
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
@@ -186,6 +190,122 @@ TEST(Metrics, CountersAreThreadSafe)
     for (auto &thread : threads)
         thread.join();
     EXPECT_EQ(c.value(), 40'000u);
+}
+
+TEST(Metrics, CellsSumAcrossThreads)
+{
+    // Each writer owns one counter cell and one histogram cell while
+    // a reader keeps reading: the totals never move backwards, and
+    // they are exact once the writers are joined and again once the
+    // cells are folded away by their destructors.
+    constexpr int kThreads = 4;
+    constexpr uint64_t kAdds = 20'000;
+    Registry reg;
+    Counter &c = reg.counter("test.cells");
+    Histogram &h = reg.histogram("test.cells_hist");
+    c.add(7); // a plain add() coexists with the cells
+    std::vector<std::unique_ptr<Counter::Cell>> ccells;
+    std::vector<std::unique_ptr<Histogram::Cell>> hcells;
+    for (int t = 0; t < kThreads; t++) {
+        ccells.push_back(std::make_unique<Counter::Cell>(c));
+        hcells.push_back(std::make_unique<Histogram::Cell>(h));
+    }
+
+    std::atomic<bool> stop{false};
+    uint64_t reads = 0;
+    std::thread reader([&] {
+        uint64_t last = 0, last_count = 0;
+        while (!stop.load(std::memory_order_relaxed)) {
+            uint64_t v = c.value();
+            EXPECT_GE(v, last);
+            last = v;
+            Histogram::Snapshot snap = h.snapshot();
+            EXPECT_GE(snap.count, last_count);
+            last_count = snap.count;
+            uint64_t in_buckets = 0;
+            for (uint64_t b : snap.buckets)
+                in_buckets += b;
+            EXPECT_EQ(in_buckets, snap.count);
+            reads++;
+        }
+    });
+
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; t++) {
+        writers.emplace_back([&, t] {
+            for (uint64_t i = 0; i < kAdds; i++) {
+                ccells[t]->add(2);
+                hcells[t]->observe(i % 1000);
+            }
+        });
+    }
+    for (auto &writer : writers)
+        writer.join();
+
+    const uint64_t want = 7 + kThreads * kAdds * 2;
+    uint64_t want_sum = 0;
+    for (uint64_t i = 0; i < kAdds; i++)
+        want_sum += i % 1000;
+    want_sum *= kThreads;
+    auto check = [&](const char *when) {
+        EXPECT_EQ(c.value(), want) << when;
+        Histogram::Snapshot snap = h.snapshot();
+        EXPECT_EQ(snap.count, kThreads * kAdds) << when;
+        EXPECT_EQ(snap.sum, want_sum) << when;
+        EXPECT_EQ(snap.min, 0u) << when;
+        EXPECT_EQ(snap.max, 999u) << when;
+    };
+    check("after join");
+    for (int t = 0; t < kThreads; t++)
+        EXPECT_EQ(ccells[t]->value(), kAdds * 2);
+
+    // Fold the cells while the reader still reads.
+    ccells.clear();
+    hcells.clear();
+    check("after the cells are destroyed");
+    stop.store(true, std::memory_order_relaxed);
+    reader.join();
+    EXPECT_GT(reads, 0u);
+
+    // Reset zeroes live cells as well as the folded totals.
+    Counter::Cell cell(c);
+    cell.add(5);
+    reg.reset();
+    EXPECT_EQ(c.value(), 0u);
+    cell.add(1);
+    EXPECT_EQ(c.value(), 1u);
+}
+
+TEST(Metrics, DerivedGaugesComputeAtSnapshot)
+{
+    Registry reg;
+    Counter &num = reg.counter("test.num");
+    Counter &den = reg.counter("test.den");
+    reg.derive("test.ratio", [&num, &den] {
+        return den.value() ? static_cast<double>(num.value()) /
+                                 static_cast<double>(den.value())
+                           : 0.0;
+    });
+    Counter::Cell cell(num);
+    cell.add(6);
+    den.add(4);
+    auto ratio = [&reg] {
+        for (const Registry::Entry &e : reg.snapshot()) {
+            if (e.name == "test.ratio") {
+                EXPECT_EQ(e.kind, MetricKind::Gauge);
+                return e.gauge;
+            }
+        }
+        ADD_FAILURE() << "derived gauge missing from the snapshot";
+        return -1.0;
+    };
+    EXPECT_DOUBLE_EQ(ratio(), 1.5);
+    cell.add(2);
+    EXPECT_DOUBLE_EQ(ratio(), 2.0);
+    // Prometheus reads the same computed value.
+    std::ostringstream prom;
+    reg.writePrometheus(prom);
+    EXPECT_NE(prom.str().find("test_ratio 2\n"), std::string::npos);
 }
 
 TEST(Metrics, ScopedTimerAccumulates)

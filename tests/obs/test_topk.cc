@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "obs/topk.hh"
 
@@ -107,6 +109,69 @@ TEST(FlowTopK, FlowsAboveThresholdAreAlwaysTracked)
         found = found || e.key == 999;
     EXPECT_TRUE(found)
         << "heavy flow evicted despite exceeding N/capacity";
+}
+
+TEST(FlowTopK, EvictsAMinimumEntry)
+{
+    // Brute-force space-saving reference: on a churn stream with a
+    // few recurring flows, whenever a new flow arrives at a full
+    // table, the entry that leaves must hold the minimum count of the
+    // table before the packet, and the newcomer must inherit exactly
+    // that count as its error.  Which of several tied minima leaves
+    // is free.  The est - error <= true <= est bound holds throughout.
+    constexpr uint32_t kCap = 8;
+    FlowTopK topk(kCap);
+    std::map<uint64_t, uint64_t> truth;
+    uint64_t state = 12345;
+    uint64_t evictions = 0;
+    for (int i = 0; i < 4000; i++) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        uint64_t r = state >> 33;
+        // A third of the packets reuse one of 6 flows, the rest
+        // draw from 300 flows.
+        uint64_t key = r % 3 == 0 ? (r >> 2) % 6 : 100 + (r >> 2) % 300;
+
+        std::map<uint64_t, FlowTopK::Entry> prev;
+        for (const FlowTopK::Entry &e : topk.top())
+            prev[e.key] = e;
+        topk.observe(key, flowIdFor(static_cast<uint32_t>(key)), 64,
+                     false);
+        truth[key]++;
+        std::vector<FlowTopK::Entry> now = topk.top();
+        ASSERT_LE(now.size(), kCap);
+
+        if (!prev.count(key) && prev.size() == kCap) {
+            evictions++;
+            uint64_t min_count = UINT64_MAX;
+            for (const auto &[k, e] : prev)
+                min_count = std::min(min_count, e.packets);
+            std::map<uint64_t, bool> present;
+            for (const FlowTopK::Entry &e : now)
+                present[e.key] = true;
+            size_t gone = 0;
+            for (const auto &[k, e] : prev) {
+                if (present.count(k))
+                    continue;
+                gone++;
+                EXPECT_EQ(e.packets, min_count)
+                    << "packet " << i << " evicted flow " << k;
+            }
+            EXPECT_EQ(gone, 1u) << "packet " << i;
+            for (const FlowTopK::Entry &e : now) {
+                if (e.key != key)
+                    continue;
+                EXPECT_EQ(e.error, min_count);
+                EXPECT_EQ(e.packets, min_count + 1);
+            }
+        }
+        for (const FlowTopK::Entry &e : now) {
+            EXPECT_GE(e.packets, truth[e.key]) << "flow " << e.key;
+            EXPECT_LE(e.packets - e.error, truth[e.key])
+                << "flow " << e.key;
+        }
+    }
+    EXPECT_GT(evictions, 1000u);
+    EXPECT_EQ(topk.observedPackets(), 4000u);
 }
 
 TEST(FlowTopK, TopIsSortedAndTruncated)

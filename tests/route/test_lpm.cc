@@ -144,8 +144,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LpmDifferential,
 TEST(Lpm, RadixPackedImageIsConsistent)
 {
     auto entries = generateSmallTable(50, 2);
-    RadixTable radix(entries);
-    auto words = radix.packImage(0x00200000);
+    RadixTable radix(entries, 0x00200000);
+    const std::vector<uint32_t> &words = radix.image();
     EXPECT_EQ(words.size(), radix.numNodes() * 4);
     // Walk the packed image for a few addresses and compare with the
     // host lookup (interpreting the image the way the NPE32 program
