@@ -16,6 +16,7 @@
 #include "common/texttable.hh"
 #include "net/tracegen.hh"
 #include "route/lctrie.hh"
+#include "route/radix.hh"
 
 namespace
 {
@@ -60,10 +61,11 @@ main(int argc, char **argv)
             auto entries = route::generateCoreTable(size, 1);
             apps::Ipv4RadixApp radix_app(entries);
             apps::Ipv4TrieApp trie_app(entries);
+            route::RadixTable radix(entries);
             route::LcTrie trie(entries);
             table.row({withCommas(size),
                        strprintf("%.0f", meanInsts(radix_app, packets)),
-                       withCommas(radix_app.radix().numNodes()),
+                       withCommas(radix.numNodes()),
                        strprintf("%.0f", meanInsts(trie_app, packets)),
                        strprintf("%.2f", trie.averageDepth()),
                        withCommas(trie.numNodes())});

@@ -19,6 +19,7 @@
 #include "common/texttable.hh"
 #include "core/packetbench.hh"
 #include "net/tracegen.hh"
+#include "route/radix.hh"
 
 int
 main(int argc, char **argv)
@@ -43,7 +44,7 @@ main(int argc, char **argv)
         std::printf("routing table: %zu entries "
                     "(radix: %zu nodes; LC-trie: %zu nodes + %zu "
                     "leaves, avg depth %.2f)\n\n",
-                    table.size(), radix_app.radix().numNodes(),
+                    table.size(), route::RadixTable(table).numNodes(),
                     trie_app.trie().numNodes(),
                     trie_app.trie().numLeaves(),
                     trie_app.trie().averageDepth());

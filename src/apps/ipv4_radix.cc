@@ -1,7 +1,7 @@
 /**
  * @file
- * IPv4-radix application: table image construction and NPE32
- * program in unoptimized-compiler style.
+ * IPv4-radix application: in-place table build and NPE32 program in
+ * unoptimized-compiler style.
  *
  * Stack frame of main (64 bytes):
  *   0(sp)  p       packet pointer
@@ -20,22 +20,27 @@
 
 #include "apps/asmdefs.hh"
 #include "isa/assembler.hh"
+#include "route/radix.hh"
 
 namespace pb::apps
 {
 
-Ipv4RadixApp::Ipv4RadixApp(std::vector<route::RouteEntry> entries)
-    : table(entries, appDataBase)
+Ipv4RadixApp::Ipv4RadixApp(std::vector<route::RouteEntry> entries_in)
+    : entries(std::move(entries_in))
 {}
 
 isa::Program
 Ipv4RadixApp::setup(sim::Memory &mem)
 {
-    const std::vector<uint32_t> &image = table.image();
-    if (image.size() * 4 > sim::layout::dataSize / 2)
-        fatal("radix image too large for the data region");
-    mem.writeWords(appDataBase, image.data(),
-                   static_cast<uint32_t>(image.size()));
+    mem.buildInPlace(
+        appDataBase, sim::layout::dataSize / 2,
+        [&](std::span<uint8_t> out) {
+            std::optional<uint32_t> bytes =
+                route::buildRadixImage(entries, appDataBase, out);
+            if (!bytes)
+                fatal("radix image too large for the data region");
+            return *bytes;
+        });
 
     std::string src = asmPreamble();
     src += strprintf(".equ RADIX_ROOT, 0x%08x\n", appDataBase);

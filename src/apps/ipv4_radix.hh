@@ -18,7 +18,7 @@
 #define PB_APPS_IPV4_RADIX_HH
 
 #include "core/app.hh"
-#include "route/radix.hh"
+#include "route/prefix.hh"
 
 namespace pb::apps
 {
@@ -31,13 +31,16 @@ class Ipv4RadixApp : public core::Application
     explicit Ipv4RadixApp(std::vector<route::RouteEntry> entries);
 
     std::string name() const override { return "ipv4-radix"; }
+
+    /**
+     * Build the trie in place in @p mem's data region (the only copy
+     * of it) and assemble the program.  A host-side reference lookup
+     * is route::RadixTable(entries, appDataBase).
+     */
     isa::Program setup(sim::Memory &mem) override;
 
-    /** Host-side reference lookup (bit-exact with the program). */
-    const route::RadixTable &radix() const { return table; }
-
   private:
-    route::RadixTable table;
+    std::vector<route::RouteEntry> entries;
 };
 
 } // namespace pb::apps

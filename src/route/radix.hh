@@ -11,10 +11,11 @@
  * implementation against the compressed LC-trie, and the per-packet
  * cost of the radix workload comes from walking one node per bit.)
  *
- * The table is stored as its simulated-memory image: the host
- * lookup walks the same packed words the NPE32 application reads,
- * so it is a bit-exact reference, and set-up writes the image into
- * simulated memory without building a second copy.
+ * The trie exists only as its packed simulated-memory image, and one
+ * builder produces it: buildRadixImage() writes it straight into a
+ * byte span (the application's data region), and RadixTable runs the
+ * same builder into host words for the host-side lookup, a bit-exact
+ * reference for the NPE32 program.
  *
  * Simulated node layout (16 bytes, word-aligned):
  *   +0  left child address  (0 = none)
@@ -28,6 +29,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "route/prefix.hh"
@@ -44,10 +47,25 @@ constexpr uint32_t offRight = 4;
 constexpr uint32_t offValid = 8;
 constexpr uint32_t offNextHop = 12;
 constexpr uint32_t nodeSize = 16;
+constexpr uint32_t wordsPerNode = nodeSize / 4;
 
 } // namespace radixlayout
 
-/** Binary radix trie with host lookup and sim-image export. */
+/**
+ * Build the trie for @p entries in place as its image in @p out:
+ * little-endian words, root node at out[0], which sits at simulated
+ * address @p base_addr (child pointers are absolute simulated
+ * addresses).  Each new node is stored before anything reads it, so
+ * on lazily zeroed pages every page faults once, on a write.
+ *
+ * @return the image size in bytes, or nullopt when the image needs
+ *         more than out.size() bytes (nothing is written past it)
+ */
+std::optional<uint32_t> buildRadixImage(
+    const std::vector<RouteEntry> &entries, uint32_t base_addr,
+    std::span<uint8_t> out);
+
+/** Binary radix trie with host lookup over its image. */
 class RadixTable
 {
   public:
@@ -63,14 +81,16 @@ class RadixTable
     uint32_t lookup(uint32_t addr) const;
 
     /** Number of trie nodes. */
-    size_t numNodes() const { return words.size() / wordsPerNode; }
+    size_t
+    numNodes() const
+    {
+        return words.size() / radixlayout::wordsPerNode;
+    }
 
     /** Packed 32-bit image; words[0] belongs at the base address. */
     const std::vector<uint32_t> &image() const { return words; }
 
   private:
-    static constexpr uint32_t wordsPerNode = radixlayout::nodeSize / 4;
-
     /** Index into words of the node at simulated address @p addr. */
     size_t
     wordOf(uint32_t addr) const

@@ -125,11 +125,14 @@ PacketBenchd::run(TraceReplayer::SourceFactory source_factory)
     TraceReplayer replayer(std::move(source_factory), ring,
                            cfg.replay);
 
-    // Light the per-packet telemetry gate so the reporter's windowed
-    // rates are fed even without a --stats pump; restore the prior
-    // state (a pump may own it) on every exit path.
+    // Light the per-packet telemetry gate only for the reporter, so
+    // its windowed rates are fed even without a --stats pump (a pump
+    // lights the gate itself); with neither, engines skip the
+    // per-packet telemetry.  Restore the prior state on every exit
+    // path.
     bool prev_stats = obs::statsEnabled();
-    obs::setStatsEnabled(true);
+    if (cfg.speedIntervalMs)
+        obs::setStatsEnabled(true);
 
     auto t0 = std::chrono::steady_clock::now();
     std::unique_ptr<SpeedReporter> reporter;

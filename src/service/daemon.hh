@@ -12,10 +12,11 @@
  *
  * plus a speed-reporter thread that prints a periodic console line
  * (Mpps / Gbps / MIPS, aggregate and per engine) from the live
- * telemetry hub (obs/stats.hh).  The reporter raises the per-packet
- * telemetry gate itself, so the daemon shows live rates even when no
- * `--stats` pump is running, and restores the gate's prior state on
- * exit.
+ * telemetry hub (obs/stats.hh).  While the reporter runs, the daemon
+ * raises the per-packet telemetry gate itself, so it shows live rates
+ * even when no `--stats` pump is running, and restores the gate's
+ * prior state on exit.  With no reporter and no pump the gate stays
+ * down and engines skip the per-packet telemetry.
  *
  * Shutdown: SIGINT/SIGTERM (installed by the binary via
  * common/shutdown.hh) stops the replayer, closes the ring, lets the

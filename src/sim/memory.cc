@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/logging.hh"
 #include "net/simd/kernels.hh"
 
 namespace pb::sim
@@ -90,6 +91,26 @@ Memory::writeWords(uint32_t addr, const uint32_t *words, uint32_t n)
         for (uint32_t i = 0; i < n; i++)
             storeWord(p + size_t{i} * 4, words[i]);
     }
+}
+
+std::span<uint8_t>
+Memory::hostSpan(uint32_t addr, uint32_t len)
+{
+    MemRegion region = readable(addr, len).region;
+    unsigned idx = static_cast<unsigned>(region);
+    return {store[idx].data() + (addr - layout::regionBase[idx]), len};
+}
+
+void
+Memory::commitBuilt(uint32_t addr, uint32_t max_len, uint32_t used)
+{
+    if (used > max_len) [[unlikely]] {
+        writable(addr, max_len);
+        panic("in-place build used %u bytes of a %u-byte span", used,
+              max_len);
+    }
+    if (used != 0)
+        writable(addr, used);
 }
 
 void

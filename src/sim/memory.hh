@@ -34,6 +34,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "common/bitops.hh"
@@ -236,6 +237,32 @@ class Memory
      */
     void writeWords(uint32_t addr, const uint32_t *words, uint32_t n);
 
+    /**
+     * Build data in place at @p addr (host-side, unaccounted):
+     * @p build gets a writable span of [addr, addr+max_len) and
+     * returns how many bytes from the span's start it used.  Exactly
+     * [addr, addr+used) joins the dirty extent, so a generous
+     * @p max_len commits nothing past the data.  @p build writes
+     * nothing past the length it returns; if it throws, the whole
+     * span counts as dirty, so reset() still clears what it wrote.
+     * @return the bytes used
+     */
+    template <typename Build>
+    uint32_t
+    buildInPlace(uint32_t addr, uint32_t max_len, Build &&build)
+    {
+        std::span<uint8_t> span = hostSpan(addr, max_len);
+        uint32_t used = 0;
+        try {
+            used = build(span);
+        } catch (...) {
+            commitBuilt(addr, max_len, max_len);
+            throw;
+        }
+        commitBuilt(addr, max_len, used);
+        return used;
+    }
+
     /** Bulk copy out of simulated memory (host-side, unaccounted). */
     void readBlock(uint32_t addr, uint8_t *data, uint32_t len) const;
 
@@ -294,6 +321,15 @@ class Memory
         }
         std::memcpy(p, &v, sizeof(T));
     }
+
+    /**
+     * Host bytes of [addr, addr+len), checked like writable() but
+     * with the dirty extent left alone.
+     */
+    std::span<uint8_t> hostSpan(uint32_t addr, uint32_t len);
+
+    /** Widen the dirty extent by the @p used bytes of a build. */
+    void commitBuilt(uint32_t addr, uint32_t max_len, uint32_t used);
 
     [[noreturn]] static void throwUnmapped(uint32_t addr, uint32_t len);
     [[noreturn]] static void throwCrossesEnd(uint32_t addr, uint32_t len,

@@ -3,11 +3,21 @@
  * Differential tests for the forwarding applications: the NPE32
  * programs must agree bit-exactly with the host reference data
  * structures on every packet, and must implement the RFC1812 steps
- * (checksum verify, TTL handling) correctly.
+ * (checksum verify, TTL handling) correctly.  The radix app's set-up
+ * builds its trie in place in simulated memory, and commits only the
+ * image's pages.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <fstream>
+#include <memory>
+
+#include "analysis/experiments.hh"
+#include "apps/asmdefs.hh"
 #include "apps/ipv4_radix.hh"
 #include "apps/ipv4_trie.hh"
 #include "common/strutil.hh"
@@ -16,6 +26,7 @@
 #include "net/scramble.hh"
 #include "net/tracegen.hh"
 #include "route/linear.hh"
+#include "route/radix.hh"
 
 namespace
 {
@@ -120,8 +131,9 @@ TEST(Ipv4RadixApp, AgreesWithHostRadixOnRealTraffic)
 {
     auto table = route::generateCoreTable(1000, 5);
     Ipv4RadixApp app(table);
+    route::RadixTable radix(table, appDataBase);
     runForwardingDifferential(
-        app, [&](uint32_t a) { return app.radix().lookup(a); }, 1000);
+        app, [&](uint32_t a) { return radix.lookup(a); }, 1000);
 }
 
 TEST(Ipv4RadixApp, AgreesWithLinearScan)
@@ -131,6 +143,66 @@ TEST(Ipv4RadixApp, AgreesWithLinearScan)
     route::LinearLpm linear(table);
     runForwardingDifferential(
         app, [&](uint32_t a) { return linear.lookup(a); }, 600);
+}
+
+/** Resident set size of this process in bytes (/proc/self/statm). */
+uint64_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    uint64_t size_pages = 0, resident_pages = 0;
+    statm >> size_pages >> resident_pages;
+    return resident_pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
+/** Minor page faults taken so far by the calling thread. */
+uint64_t
+minorFaults()
+{
+    rusage ru{};
+    getrusage(RUSAGE_THREAD, &ru);
+    return static_cast<uint64_t>(ru.ru_minflt);
+}
+
+TEST(Ipv4RadixApp, SetupCommitsOnlyTheImage)
+{
+    // The default-size table, generated outside the measurement; the
+    // app's construction and set-up are inside it.
+    an::ExperimentConfig cfg;
+    auto table =
+        route::generateCoreTable(cfg.coreTablePrefixes, cfg.tableSeed);
+    sim::Memory mem;
+    uint64_t rss_before = residentBytes();
+    ASSERT_GT(rss_before, 0u) << "no /proc/self/statm";
+    uint64_t faults_before = minorFaults();
+
+    auto app = std::make_unique<Ipv4RadixApp>(std::move(table));
+    app->setup(mem);
+
+    uint64_t faults = minorFaults() - faults_before;
+    uint64_t rss_after = residentBytes();
+    uint64_t grown = rss_after > rss_before ? rss_after - rss_before : 0;
+
+    auto [lo, hi] = mem.dirtyExtent(sim::MemRegion::Data);
+    EXPECT_EQ(lo, 0u);
+    EXPECT_EQ(hi, 4'218'640u) << "the image is 263,665 nodes";
+    uint64_t page = static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+    uint64_t image_pages = (hi + page - 1) / page;
+
+    // A host copy of the trie next to the simulated one makes both
+    // numbers about double: ~9 MiB resident and ~2x the image's pages
+    // in faults.  So does a build that reads a new node's page before
+    // writing it (a zero-page map, then a second fault on the store).
+    // AddressSanitizer checks every store against one shadow byte per
+    // 8 bytes, so there the image also maps 1/8 as many shadow pages.
+    uint64_t allowed = image_pages * 5 / 4;
+#if defined(__SANITIZE_ADDRESS__)
+    allowed += image_pages / 8;
+#endif
+    EXPECT_LT(grown, 6u << 20) << grown << " bytes became resident";
+    EXPECT_LE(faults, allowed)
+        << faults << " minor faults for " << image_pages
+        << " image pages";
 }
 
 TEST(ForwardingApps, RadixAndTrieAgreeWithEachOther)

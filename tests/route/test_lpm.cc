@@ -7,7 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <span>
+#include <utility>
+
 #include "common/bitops.hh"
+#include "common/byteorder.hh"
 #include "common/rng.hh"
 #include "common/strutil.hh"
 #include "route/lctrie.hh"
@@ -172,6 +177,46 @@ TEST(Lpm, RadixPackedImageIsConsistent)
         uint32_t addr = rng.next();
         EXPECT_EQ(image_lookup(addr), radix.lookup(addr));
     }
+}
+
+TEST(Lpm, RadixInPlaceImageMatchesHostImage)
+{
+    auto entries = generateCoreTable(500, 6);
+    RadixTable radix(entries, 0x00100000);
+    const std::vector<uint32_t> &words = radix.image();
+
+    // Stale bytes in the span must not leak into the image.
+    std::vector<uint8_t> out(words.size() * 4 + 64, 0xa5);
+    std::optional<uint32_t> bytes = buildRadixImage(
+        entries, 0x00100000, std::span<uint8_t>(out));
+    ASSERT_TRUE(bytes.has_value());
+    ASSERT_EQ(*bytes, words.size() * 4);
+    for (size_t w = 0; w < words.size(); w++)
+        ASSERT_EQ(loadLe32(&out[w * 4]), words[w]) << "word " << w;
+    for (size_t i = *bytes; i < out.size(); i++)
+        ASSERT_EQ(out[i], 0xa5) << "byte " << i << " past the image";
+
+    // One node short: refused, and nothing written past the span.
+    std::vector<uint8_t> small(words.size() * 4 + 64, 0xa5);
+    std::span<uint8_t> tight(small.data(),
+                             words.size() * 4 - radixlayout::nodeSize);
+    EXPECT_FALSE(buildRadixImage(entries, 0x00100000, tight));
+    for (size_t i = tight.size(); i < small.size(); i++)
+        ASSERT_EQ(small[i], 0xa5) << "byte " << i << " past the span";
+}
+
+TEST(Lpm, RadixNodeCountsAtAblationSizes)
+{
+    // The "radix nodes" column of bench_ablation_table_size.
+    const std::pair<uint32_t, size_t> sizes[] = {{256, 3'849},
+                                                 {1'024, 13'124},
+                                                 {4'096, 44'704},
+                                                 {16'384, 147'127},
+                                                 {65'536, 467'633}};
+    for (const auto &[prefixes, nodes] : sizes)
+        EXPECT_EQ(RadixTable(generateCoreTable(prefixes, 1)).numNodes(),
+                  nodes)
+            << prefixes << " prefixes";
 }
 
 TEST(Lpm, LcTriePackedImageIsConsistent)

@@ -2,8 +2,9 @@
  * @file
  * PacketBenchd tests: end-to-end corpus processing through the
  * ingest ring, equivalence of the ring path with the direct batch
- * path (including Stealing dispatch against the serial oracle), and
- * shutdown-driven termination of a looped service.
+ * path (including Stealing dispatch against the serial oracle),
+ * shutdown-driven termination of a looped service, and the per-packet
+ * telemetry gate following the speed reporter.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "common/shutdown.hh"
 #include "core/multicore.hh"
 #include "net/tracegen.hh"
+#include "obs/stats.hh"
 #include "service/daemon.hh"
 
 namespace
@@ -164,6 +166,34 @@ TEST_F(PacketBenchdTest, MaxPacketsBoundsALoopedService)
     EXPECT_EQ(res.mc.totalPackets, 900u);
     EXPECT_GE(res.loops, 2u);
     EXPECT_FALSE(res.shutdownBySignal);
+}
+
+TEST(PacketBenchd, TelemetryGateFollowsReporter)
+{
+    resetShutdownForTest();
+    ASSERT_FALSE(obs::statsEnabled()) << "no stats pump in this test";
+    ServiceConfig cfg;
+    cfg.engines = 2;
+    cfg.bench.parallel = true;
+    cfg.ringCapacity = 64;
+    auto engine0_packets = [&](uint32_t speed_interval_ms) {
+        cfg.speedIntervalMs = speed_interval_ms;
+        obs::Telemetry::instance().reset();
+        PacketBenchd daemon(flowFactory(256), cfg);
+        ServiceResult res =
+            daemon.run(corpus(net::Profile::COS, 600, 4));
+        EXPECT_EQ(res.mc.totalPackets, 600u);
+        EXPECT_GT(res.mc.engines.at(0).packets, 0u);
+        EXPECT_FALSE(obs::statsEnabled()) << "prior state restored";
+        return obs::Telemetry::instance().engine(0).packets.total();
+    };
+
+    // No reporter and no pump: nobody reads the windows, so engines
+    // must not feed them.
+    EXPECT_EQ(engine0_packets(0), 0u);
+    // The reporter reads them, so the daemon lights the gate.
+    EXPECT_GT(engine0_packets(1000), 0u);
+    obs::Telemetry::instance().reset();
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
- * Simulated memory tests: regions, widths, endianness, bounds, and
- * lazily committed backing pages.
+ * Simulated memory tests: regions, widths, endianness, bounds, lazily
+ * committed backing pages, and in-place builds.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +11,8 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -240,6 +242,43 @@ TEST(Memory, WriteWordsMatchesWrite32)
     EXPECT_THROW(bulk.writeWords(packetBase + packetSize - 8, words, 4),
                  MemoryError);
     EXPECT_NO_THROW(bulk.writeWords(dataBase, nullptr, 0));
+}
+
+TEST(Memory, BuildInPlaceCommitsOnlyUsedBytes)
+{
+    Memory mem;
+    uint32_t used = mem.buildInPlace(
+        dataBase + 64, 4096, [](std::span<uint8_t> out) {
+            EXPECT_EQ(out.size(), 4096u);
+            for (uint32_t i = 0; i < 100; i++)
+                out[i] = static_cast<uint8_t>(i + 1);
+            return 100u;
+        });
+    EXPECT_EQ(used, 100u);
+    EXPECT_EQ(mem.dirtyExtent(MemRegion::Data),
+              std::make_pair(64u, 164u));
+    EXPECT_EQ(mem.read8(dataBase + 64), 1u);
+    EXPECT_EQ(mem.read8(dataBase + 163), 100u);
+    mem.reset();
+    EXPECT_EQ(mem.read8(dataBase + 163), 0u);
+
+    // A build that throws leaves the whole span dirty, so reset()
+    // still clears whatever it wrote.
+    EXPECT_THROW(mem.buildInPlace(dataBase, 256,
+                                  [](std::span<uint8_t> out) -> uint32_t {
+                                      out[255] = 7;
+                                      throw std::runtime_error("full");
+                                  }),
+                 std::runtime_error);
+    EXPECT_EQ(mem.dirtyExtent(MemRegion::Data),
+              std::make_pair(0u, 256u));
+    mem.reset();
+    EXPECT_EQ(mem.read8(dataBase + 255), 0u);
+
+    // The span is bounds-checked like any host-side write.
+    EXPECT_THROW(mem.buildInPlace(dataBase + dataSize - 8, 16,
+                                  [](std::span<uint8_t>) { return 0u; }),
+                 MemoryError);
 }
 
 TEST(Memory, FootprintMarksAcrossBitmapPageBoundary)
